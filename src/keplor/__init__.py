@@ -58,6 +58,7 @@ from .kepler import (
     kepler_series,
     kepler_solve,
     mean_anomaly,
+    series_partial_sums,
     series_radius,
 )
 from .bayes_prior import (
@@ -127,6 +128,7 @@ __all__ = [
     "mean_anomaly",
     "kepler_solve",
     "kepler_series",
+    "series_partial_sums",
     "series_radius",
     # bayes_prior
     "PriorSpec",

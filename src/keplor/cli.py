@@ -47,12 +47,29 @@ def _add_format(parser: argparse.ArgumentParser, top_level: bool = False) -> Non
     )
 
 
-def _table_inputs(args: argparse.Namespace) -> dict:
-    inputs: dict[str, Any] = {"correction": bool(args.correction)}
-    if args.counts is not None:
-        inputs["counts"] = ",".join(str(c) for c in args.counts)
-    else:
-        inputs["file"] = args.file
+# Namespace attributes that route a command rather than carry its inputs.
+_ROUTING = frozenset(
+    {
+        "format",
+        "command",
+        "kepler_command",
+        "prior_command",
+        "command_name",
+        "results_fn",
+        "validate_fn",
+    }
+)
+
+
+def _inputs(args: argparse.Namespace) -> dict:
+    """Echo every supplied option by dest name; or_value as "or", counts joined."""
+    inputs: dict[str, Any] = {}
+    for dest, value in vars(args).items():
+        if dest in _ROUTING or value is None:
+            continue
+        if dest == "counts":
+            value = ",".join(str(c) for c in value)
+        inputs["or" if dest == "or_value" else dest] = value
     return inputs
 
 
@@ -99,23 +116,6 @@ def _validate_bounds(args: argparse.Namespace) -> Optional[str]:
     if args.exposure is not None and not risk_mode:
         return "--exposure applies only with --risk-exposed/--risk-unexposed"
     return None
-
-
-def _bounds_inputs(args: argparse.Namespace) -> dict:
-    inputs: dict[str, Any] = {}
-    for key, value in (
-        ("or", args.or_value),
-        ("rr", args.rr),
-        ("p", args.p),
-        ("q", args.q),
-        ("prevalence", args.prevalence),
-        ("risk_exposed", args.risk_exposed),
-        ("risk_unexposed", args.risk_unexposed),
-        ("exposure", args.exposure),
-    ):
-        if value is not None:
-            inputs[key] = value
-    return inputs
 
 
 def _bounds_results(args: argparse.Namespace) -> dict:
@@ -229,27 +229,16 @@ def _kepler_series_results(args: argparse.Namespace) -> dict:
 def _kepler_diverge_results(args: argparse.Namespace) -> dict:
     problem = kepler.KeplerProblem(args.m, args.eps)
     newton = kepler.kepler_solve(problem, tol=args.tol).eccentric_anomaly
-    rows = []
-    for order in range(1, args.max_order + 1):
-        estimate = kepler.kepler_series(problem, order).eccentric_anomaly
-        rows.append(
-            {
-                "order": order,
-                "eccentric_anomaly": estimate,
-                "abs_error": abs(estimate - newton),
-            }
-        )
+    sums = kepler.series_partial_sums(problem, args.max_order)
+    rows = [
+        {
+            "order": order,
+            "eccentric_anomaly": estimate,
+            "abs_error": abs(estimate - newton),
+        }
+        for order, estimate in enumerate(sums, start=1)
+    ]
     return {"newton_eccentric_anomaly": newton, "rows": rows}
-
-
-def _prior_flattest_inputs(args: argparse.Namespace) -> dict:
-    inputs: dict[str, Any] = {
-        "or_threshold": args.or_threshold,
-        "tail_mass": args.tail_mass,
-    }
-    if args.sigma is not None:
-        inputs["sigma"] = args.sigma
-    return inputs
 
 
 def _prior_flattest_results(args: argparse.Namespace) -> dict:
@@ -287,12 +276,6 @@ def _verify_results(args: argparse.Namespace) -> dict:
     }
 
 
-def _pz_inputs(args: argparse.Namespace) -> dict:
-    if args.p is not None:
-        return {"p": args.p}
-    return {"z": args.z}
-
-
 def _pz_results(args: argparse.Namespace) -> dict:
     if args.p is not None:
         return {"z": bayes_prior.p_to_z(args.p)}
@@ -314,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub: argparse.ArgumentParser,
         name: str,
         results_fn: Callable[[argparse.Namespace], dict],
-        inputs_fn: Callable[[argparse.Namespace], dict],
         validate_fn: Optional[Callable[[argparse.Namespace], Optional[str]]] = None,
     ) -> None:
         _add_format(sub)
         sub.set_defaults(
             command_name=name,
             results_fn=results_fn,
-            inputs_fn=inputs_fn,
             validate_fn=validate_fn,
         )
 
@@ -338,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add 0.5 to every cell before estimating",
     )
-    register(table, "table", _table_results, _table_inputs)
+    register(table, "table", _table_results)
 
     bounds = subparsers.add_parser(
         "bounds", help="standardized-effect ceiling and variance minimizers"
@@ -359,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument(
         "--exposure", type=float, help="pooled exposure (with the risk pair)"
     )
-    register(bounds, "bounds", _bounds_results, _bounds_inputs, _validate_bounds)
+    register(bounds, "bounds", _bounds_results, _validate_bounds)
 
     constants = subparsers.add_parser(
         "constants", help="attainment constants and the series radius"
     )
-    register(constants, "constants", _constants_results, lambda args: {})
+    register(constants, "constants", _constants_results)
 
     kepler_parser = subparsers.add_parser("kepler", help="Kepler-equation tools")
     kepler_sub = kepler_parser.add_subparsers(dest="kepler_command", required=True)
@@ -373,23 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--m", type=float, required=True, help="mean anomaly (radians)")
     solve.add_argument("--eps", type=float, required=True, help="eccentricity")
     solve.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
-    register(
-        solve,
-        "kepler solve",
-        _kepler_solve_results,
-        lambda args: {"m": args.m, "eps": args.eps, "tol": args.tol},
-    )
+    register(solve, "kepler solve", _kepler_solve_results)
 
     series = kepler_sub.add_parser("series", help="eccentricity power series")
     series.add_argument("--m", type=float, required=True, help="mean anomaly (radians)")
     series.add_argument("--eps", type=float, required=True, help="eccentricity")
     series.add_argument("--order", type=int, required=True, help="truncation order")
-    register(
-        series,
-        "kepler series",
-        _kepler_series_results,
-        lambda args: {"m": args.m, "eps": args.eps, "order": args.order},
-    )
+    register(series, "kepler series", _kepler_series_results)
 
     diverge = kepler_sub.add_parser(
         "diverge-table", help="series error against Newton, order by order"
@@ -400,17 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-order", type=int, required=True, help="largest order to tabulate"
     )
     diverge.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
-    register(
-        diverge,
-        "kepler diverge-table",
-        _kepler_diverge_results,
-        lambda args: {
-            "m": args.m,
-            "eps": args.eps,
-            "max_order": args.max_order,
-            "tol": args.tol,
-        },
-    )
+    register(diverge, "kepler diverge-table", _kepler_diverge_results)
 
     prior = subparsers.add_parser("prior", help="prior-specification helpers")
     prior_sub = prior.add_subparsers(dest="prior_command", required=True)
@@ -432,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="assumed sigma (default: the smallest attainable one)",
     )
-    register(
-        flattest, "prior flattest", _prior_flattest_results, _prior_flattest_inputs
-    )
+    register(flattest, "prior flattest", _prior_flattest_results)
 
     pathway = prior_sub.add_parser(
         "wm-pathway", help="sigma at the variance-minimizing prevalence"
@@ -445,30 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
     pathway.add_argument(
         "--risk-exposed", type=float, required=True, help="assumed risk among exposed"
     )
-    register(
-        pathway,
-        "prior wm-pathway",
-        _prior_pathway_results,
-        lambda args: {"or": args.or_value, "risk_exposed": args.risk_exposed},
-    )
+    register(pathway, "prior wm-pathway", _prior_pathway_results)
 
     verify = subparsers.add_parser(
         "verify", help="brute-force check of the standardized-effect ceiling"
     )
     verify.add_argument("--samples", type=int, required=True, help="number of samples")
     verify.add_argument("--seed", type=int, required=True, help="random seed")
-    register(
-        verify,
-        "verify",
-        _verify_results,
-        lambda args: {"samples": args.samples, "seed": args.seed},
-    )
+    register(verify, "verify", _verify_results)
 
     pz = subparsers.add_parser("pz", help="p-value / normal statistic conversion")
     direction = pz.add_mutually_exclusive_group(required=True)
     direction.add_argument("--p", type=float, help="upper-tail p-value")
     direction.add_argument("--z", type=float, help="normal test statistic")
-    register(pz, "pz", _pz_results, _pz_inputs)
+    register(pz, "pz", _pz_results)
 
     return parser
 
@@ -520,8 +469,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         if message is not None:
             sys.stderr.write(f"keplor {args.command_name}: error: {message}\n")
             return 2
-    inputs = args.inputs_fn(args)
-    envelope: dict[str, Any] = {"command": args.command_name, "inputs": inputs}
+    envelope: dict[str, Any] = {"command": args.command_name, "inputs": _inputs(args)}
     try:
         envelope["results"] = args.results_fn(args)
         envelope["status"] = "ok"

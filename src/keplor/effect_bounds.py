@@ -19,9 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .contingency import RiskParams, EffectSummary, odds_and_risk_ratio
+from .contingency import (
+    EffectSummary,
+    RiskParams,
+    _check_probability,
+    odds_and_risk_ratio,
+)
 from .errors import DomainError
-from .numerics import Bracket, find_root
+from .kepler import _tanh_root
 
 __all__ = [
     "BoundConstants",
@@ -73,11 +78,6 @@ class VerificationReport:
     arg_max: RiskParams
     violations: int
     bound: float
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -215,28 +215,15 @@ def bound_curve_derivative(log_odds: float) -> float:
     return (4.0 - log_odds * math.tanh(t)) * sech / 16.0
 
 
-def _unit_tanh_gap(t: float) -> float:
-    return t * math.tanh(t) - 1.0
-
-
-def _unit_tanh_gap_slope(t: float) -> float:
-    c = math.cosh(t)
-    return math.tanh(t) + t / (c * c)
-
-
 @lru_cache(maxsize=1)
 def bound_constants() -> BoundConstants:
-    """Solve z*tanh(z) = 1 and derive the attainment constants from z.
+    """Derive the attainment constants from the root z of z*tanh(z) = 1.
 
-    The bracket [1, 1.5] encloses the root (the gap is -0.24 at 1 and +0.36
-    at 1.5); tolerance 1e-14.  Deterministic, cached.
+    z comes from the one find_root solve in kepler that also gives
+    series_radius; bound_curve(4z) evaluates z/cosh(z) at 0.25*(4z) == z, so
+    laplace_limit equals series_radius() bit for bit.  Deterministic, cached.
     """
-    z = find_root(
-        _unit_tanh_gap,
-        Bracket(1.0, 1.5),
-        tol=1e-14,
-        fprime=_unit_tanh_gap_slope,
-    ).root
+    z = _tanh_root()
     peak_log_or = 4.0 * z
     return BoundConstants(
         tanh_root=z,

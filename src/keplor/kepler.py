@@ -5,9 +5,11 @@ iteration (valid for every eccentricity below 1) and the classical power
 series in the eccentricity from Lagrange inversion.  The series converges
 only while the eccentricity stays below max_x x/cosh(x) = 0.6627..., the same
 Laplace limit constant that caps the standardized log odds ratio in
-effect_bounds; `series_radius` and `bound_constants().laplace_limit` agree
-bit for bit because both are derived from the same computed root of
-x*tanh(x) = 1.
+effect_bounds.  The root of x*tanh(x) = 1 is solved once, here, with
+`numerics.find_root`; `series_radius` and `bound_constants` both derive from
+that one root, so `series_radius()` and `bound_constants().laplace_limit`
+agree bit for bit.  `kepler_solve` keeps its own bracketed Newton loop,
+specialised to the reduced Kepler problem for speed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "mean_anomaly",
     "kepler_solve",
     "kepler_series",
+    "series_partial_sums",
     "series_radius",
 ]
 
@@ -176,12 +179,12 @@ def _harmonic_terms(n: int) -> tuple[tuple[int, float], ...]:
     return tuple(terms)
 
 
-def kepler_series(problem: KeplerProblem, order: int) -> KeplerSolution:
-    """Truncated power series in the eccentricity for the eccentric anomaly.
+def _partial_sums(
+    problem: KeplerProblem, order: int
+) -> tuple[list[float], float, float, float]:
+    """Reduced partial sums E_1..E_order, with the reduction (reduced, sign, base).
 
-    E = M + sum_{n=1..order} term_n(M) * ecc^n with exact harmonic
-    coefficients.  The residual is reported but not guaranteed small: the
-    series converges only for eccentricities below series_radius().
+    Each sin(k*M) is evaluated once and shared by every order that uses it.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise DomainError(f"order must be a positive integer, got {order!r}")
@@ -191,14 +194,30 @@ def kepler_series(problem: KeplerProblem, order: int) -> KeplerSolution:
         )
     reduced, sign, base = _reduce(problem.mean_anomaly)
     ecc = problem.eccentricity
+    sines = [math.sin(k * reduced) for k in range(order + 1)]
     total = reduced
     ecc_power = 1.0
+    sums = []
     for n in range(1, order + 1):
         ecc_power *= ecc
         term = 0.0
         for k, amplitude in _harmonic_terms(n):
-            term += amplitude * math.sin(k * reduced)
+            term += amplitude * sines[k]
         total += term * ecc_power
+        sums.append(total)
+    return sums, reduced, sign, base
+
+
+def kepler_series(problem: KeplerProblem, order: int) -> KeplerSolution:
+    """Truncated power series in the eccentricity for the eccentric anomaly.
+
+    E = M + sum_{n=1..order} term_n(M) * ecc^n with exact harmonic
+    coefficients.  The residual is reported but not guaranteed small: the
+    series converges only for eccentricities below series_radius().
+    """
+    sums, reduced, sign, base = _partial_sums(problem, order)
+    total = sums[-1]
+    ecc = problem.eccentricity
     residual = abs(total - ecc * math.sin(total) - reduced)
     return KeplerSolution(
         eccentric_anomaly=sign * total + base,
@@ -208,27 +227,48 @@ def kepler_series(problem: KeplerProblem, order: int) -> KeplerSolution:
     )
 
 
-def _radius_gap(t: float) -> float:
+def series_partial_sums(problem: KeplerProblem, max_order: int) -> list[float]:
+    """Eccentric anomalies of the series truncated at orders 1..max_order.
+
+    Entry n-1 equals kepler_series(problem, n).eccentric_anomaly bit for bit,
+    from one pass over the terms.  Past the cap, the OrderTooLarge error names
+    order SERIES_ORDER_CAP + 1, the first order the table cannot reach.
+    """
+    if isinstance(max_order, int) and max_order > SERIES_ORDER_CAP:
+        max_order = SERIES_ORDER_CAP + 1
+    sums, _, sign, base = _partial_sums(problem, max_order)
+    return [sign * total + base for total in sums]
+
+
+def _tanh_gap(t: float) -> float:
     return t * math.tanh(t) - 1.0
 
 
-def _radius_gap_slope(t: float) -> float:
+def _tanh_gap_slope(t: float) -> float:
     c = math.cosh(t)
     return math.tanh(t) + t / (c * c)
+
+
+@lru_cache(maxsize=1)
+def _tanh_root() -> float:
+    """z solving z*tanh(z) = 1; series_radius and bound_constants share it.
+
+    The bracket [1, 1.5] encloses the root (the gap is -0.24 at 1 and +0.36
+    at 1.5); tolerance 1e-14.
+    """
+    return find_root(
+        _tanh_gap, Bracket(1.0, 1.5), tol=1e-14, fprime=_tanh_gap_slope
+    ).root
 
 
 @lru_cache(maxsize=1)
 def series_radius() -> float:
     """Convergence radius of the eccentricity series: max over x of x/cosh(x).
 
-    The maximizer solves x*tanh(x) = 1; the radius is z/cosh(z).  The root
-    solve is the same computation effect_bounds.bound_constants performs, so
-    the returned value matches bound_constants().laplace_limit bit for bit.
+    The maximizer z solves x*tanh(x) = 1; the radius is z/cosh(z).
+    effect_bounds.bound_constants takes the same z from _tanh_root and
+    evaluates its peak at 0.25*(4z) == z, so the returned value matches
+    bound_constants().laplace_limit bit for bit.
     """
-    z = find_root(
-        _radius_gap,
-        Bracket(1.0, 1.5),
-        tol=1e-14,
-        fprime=_radius_gap_slope,
-    ).root
+    z = _tanh_root()
     return z / math.cosh(z)

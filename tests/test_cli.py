@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from keplor.cli import build_parser, main, run
+from keplor.kepler import KeplerProblem, kepler_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -142,6 +143,7 @@ class TestDomainErrors:
             ["pz", "--p", "1.5"],
             ["prior", "flattest", "--or-threshold", "0.5", "--tail-mass", "0.025"],
             ["verify", "--samples", "0", "--seed", "1"],
+            ["kepler", "diverge-table", "--m", "1", "--eps", "0.3", "--max-order", "0"],
         ],
     )
     def test_exit_one_with_error_envelope(self, capsys, argv):
@@ -184,6 +186,20 @@ class TestSpotValues:
         rows = results["rows"]
         assert [row["order"] for row in rows] == list(range(1, 13))
         assert all(row["abs_error"] >= 0.0 for row in rows)
+        # At the order cap, each row is the order-n series bit for bit.
+        for m in (math.pi / 2, -20.5, 1e6):
+            for eps in (0.3, 0.8):
+                argv = ["kepler", "diverge-table", "--m", repr(m), "--eps", repr(eps)]
+                code, out, _ = capture(capsys, argv + ["--max-order", "64"])
+                assert code == 0
+                results = json.loads(out)["results"]
+                newton = results["newton_eccentric_anomaly"]
+                problem = KeplerProblem(m, eps)
+                assert [row["order"] for row in results["rows"]] == list(range(1, 65))
+                for row in results["rows"]:
+                    series = kepler_series(problem, row["order"]).eccentric_anomaly
+                    assert row["eccentric_anomaly"] == series
+                    assert row["abs_error"] == abs(series - newton)
 
     def test_pz_directions(self, capsys):
         code, out, _ = capture(capsys, ["pz", "--p", "0.025"])

@@ -11,6 +11,7 @@ from keplor.kepler import (
     kepler_series,
     kepler_solve,
     mean_anomaly,
+    series_partial_sums,
     series_radius,
 )
 
@@ -186,6 +187,23 @@ class TestSeries:
         for bad in [0, -1, 1.5, True]:
             with pytest.raises(DomainError):
                 kepler_series(problem, bad)
+
+    @given(anomalies, eccentricities)
+    def test_partial_sums_match_each_order(self, m, ecc):
+        problem = KeplerProblem(m, ecc)
+        sums = series_partial_sums(problem, 64)
+        assert sums == [kepler_series(problem, n).eccentric_anomaly for n in range(1, 65)]
+
+    def test_partial_sums_validation(self):
+        problem = KeplerProblem(1.0, 0.3)
+        # A table stops at the first order past the cap, and names it.
+        with pytest.raises(OrderTooLarge, match="order 65 exceeds"):
+            series_partial_sums(problem, 100)
+        with pytest.raises(DomainError, match="order must be a positive integer, got 0"):
+            series_partial_sums(problem, 0)
+        for bad in [-1, 1.5, True]:
+            with pytest.raises(DomainError):
+                series_partial_sums(problem, bad)
 
 
 class TestSeriesRadius:
