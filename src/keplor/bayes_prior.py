@@ -75,17 +75,25 @@ class PathwayResult(NamedTuple):
 
 
 def p_to_z(p_value: float) -> float:
-    """Upper-tail p-value to the normal test statistic."""
+    """Upper-tail p-value to the normal test statistic.
+
+    Evaluated as -normal_quantile(p_value), never through 1 - p_value, which
+    rounds to 1 below p = 1.1e-16; 0.0 - x keeps z = +0.0 at p = 1/2.
+    """
     if not 0.0 < p_value < 1.0:
         raise DomainError(f"p_value must lie in (0, 1), got {p_value!r}")
-    return normal_quantile(1.0 - p_value)
+    return 0.0 - normal_quantile(p_value)
 
 
 def z_to_p(z: float) -> float:
-    """Normal test statistic to its upper-tail p-value."""
+    """Normal test statistic to its upper-tail p-value.
+
+    normal_cdf(-z) is erfc(z/sqrt 2)/2, which keeps full relative accuracy in
+    the upper tail, where 1 - normal_cdf(z) cancels to 0 past z = 8.3.
+    """
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    return 1.0 - normal_cdf(z)
+    return normal_cdf(-z)
 
 
 def flattest_prior(
@@ -94,7 +102,7 @@ def flattest_prior(
     """Prior variance for the standardized effect from one tail statement.
 
     prior_variance = (ln(or_threshold) / assumed_sigma / q)^2 with
-    q = normal_quantile(1 - tail_mass).  Quartering under a doubled
+    q = p_to_z(tail_mass), the upper-tail quantile.  Quartering under a doubled
     assumed_sigma is exact.
     """
     if not (math.isfinite(or_threshold) and or_threshold > 1.0):
@@ -103,7 +111,7 @@ def flattest_prior(
         raise DomainError(f"tail_mass must lie in (0, 0.5), got {tail_mass!r}")
     if not (math.isfinite(assumed_sigma) and assumed_sigma > 0.0):
         raise DomainError(f"assumed_sigma must be positive, got {assumed_sigma!r}")
-    quantile = normal_quantile(1.0 - tail_mass)
+    quantile = p_to_z(tail_mass)
     ratio = math.log(or_threshold) / assumed_sigma / quantile
     return PriorSpec(
         or_threshold=or_threshold,

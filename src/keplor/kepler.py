@@ -231,11 +231,9 @@ def series_partial_sums(problem: KeplerProblem, max_order: int) -> list[float]:
     """Eccentric anomalies of the series truncated at orders 1..max_order.
 
     Entry n-1 equals kepler_series(problem, n).eccentric_anomaly bit for bit,
-    from one pass over the terms.  Past the cap, the OrderTooLarge error names
-    order SERIES_ORDER_CAP + 1, the first order the table cannot reach.
+    from one pass over the terms.  A max_order past the cap raises
+    OrderTooLarge naming max_order.
     """
-    if isinstance(max_order, int) and max_order > SERIES_ORDER_CAP:
-        max_order = SERIES_ORDER_CAP + 1
     sums, _, sign, base = _partial_sums(problem, max_order)
     return [sign * total + base for total in sums]
 

@@ -20,6 +20,11 @@ SIGMA0_LN2 = 0.1143390728346476  # ln(2)/llc scaled by 1/q975... see test
 LN2_OVER_LLC = 1.0458756138848129
 FLATTEST_SIGMA_PEAK = 7.240678298772009
 SQRT_18 = 4.242640687119285
+# Upper-tail pairs, 50-digit mpmath evaluations rounded once to double.
+P_AT_Z8 = 6.220960574271784e-16
+P_AT_Z10 = 7.619853024160525e-24
+Z_AT_P1E16 = 8.222082216130435
+Z_AT_P1E17 = 8.493793224109599
 
 thresholds = st.floats(1.001, 1000.0)
 masses = st.floats(0.0005, 0.4995)
@@ -33,6 +38,15 @@ class TestQuantileBridge:
     def test_frozen_values(self):
         assert abs(p_to_z(0.025) - Q975) < 1e-9
         assert abs(z_to_p(1.959964) - 0.025) < 1e-8
+
+    def test_upper_tail_frozen(self):
+        assert z_to_p(8.0) == pytest.approx(P_AT_Z8, rel=1e-13)
+        assert z_to_p(10.0) == pytest.approx(P_AT_Z10, rel=1e-13)
+        assert p_to_z(1e-16) == pytest.approx(Z_AT_P1E16, rel=1e-14)
+        assert p_to_z(1e-17) == pytest.approx(Z_AT_P1E17, rel=1e-14)
+
+    def test_center_is_positive_zero(self):
+        assert math.copysign(1.0, p_to_z(0.5)) == 1.0
 
     @given(masses)
     def test_roundtrip(self, p):
@@ -52,6 +66,11 @@ class TestFlattestPrior:
         assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-12)
         assert abs(math.sqrt(spec.prior_variance) - 0.338141) < 1e-6
         assert abs(spec.assumed_sigma - LN2_OVER_LLC) < 1e-12
+
+    def test_far_tail_mass(self):
+        spec = flattest_prior(2.0, 1e-17, 1.0)
+        ratio = math.log(2.0) / Z_AT_P1E17
+        assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-13)
 
     def test_unit_variance_calibration(self):
         # Threshold e, sigma 1, mass set so the quantile is exactly 1.

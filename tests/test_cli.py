@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import keplor
 from keplor.cli import build_parser, main, run
 from keplor.kepler import KeplerProblem, kepler_series
 
@@ -209,6 +213,17 @@ class TestSpotValues:
         assert code == 0
         assert json.loads(out)["results"]["p"] == pytest.approx(0.025, abs=1e-6)
 
+    def test_far_tail_inputs(self, capsys):
+        # Far upper tails, where going through 1 - x rounds to 0 or 1.
+        code, out, _ = capture(capsys, ["pz", "--z", "10"])
+        assert code == 0
+        assert json.loads(out)["results"]["p"] == pytest.approx(7.619853024160525e-24, rel=1e-13)
+        argv = ["prior", "flattest", "--or-threshold", "2", "--tail-mass", "1e-17"]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["tail_quantile"] == pytest.approx(8.493793224109599, rel=1e-14)
+
     def test_wm_pathway(self, capsys):
         code, out, _ = capture(capsys, ["prior", "wm-pathway", "--or", "4", "--risk-exposed", "0.5"])
         assert code == 0
@@ -232,3 +247,25 @@ class TestEntryPoints:
             main()
         assert excinfo.value.code == 0
         capsys.readouterr()
+
+
+class TestLazyNumpy:
+    def test_numpy_loaded_only_by_verify(self):
+        # Only verify needs numpy; importing the package or running another
+        # subcommand must not pay for loading it.
+        probe = (
+            "import sys, io, contextlib\n"
+            "import keplor\n"
+            "from keplor import cli\n"
+            "after_import = 'numpy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(['constants'])\n"
+            "print(after_import, code, 'numpy' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(keplor.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split() == ["False", "0", "False"]

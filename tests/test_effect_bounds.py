@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from keplor.contingency import RiskParams
 from keplor.effect_bounds import (
+    _CHUNK,
     bound_constants,
     bound_curve,
     bound_curve_derivative,
@@ -300,6 +302,48 @@ class TestVerifyBound:
         assert report.max_gamma_observed <= report.bound
         assert report.max_gamma_observed > report.bound - 1e-3
         assert isinstance(report.arg_max, RiskParams)
+
+    # (max_gamma_observed, arg_max risk_exposed, risk_unexposed, exposure,
+    # violations) as float.hex, frozen from the whole-array implementation
+    # that evaluated every triple at once.  The sample counts put chunk edges
+    # inside both the uniform and the concentrated stratum.
+    @pytest.mark.parametrize(
+        "samples,seed,expected",
+        [
+            (1, 7, ("0x1.5314aeb9d6c94p-1", "0x1.d5672ffd97097p-1", "0x1.6d59724d7a06ep-4", "0x1.fa62ba662140ep-2", 0)),
+            (1, 42, ("0x1.502fd0ff9e308p-1", "0x1.d882c29e89183p-1", "0x1.ff5c808293caap-5", "0x1.07af4345bab44p-1", 0)),
+            (2 * _CHUNK - 1, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (2 * _CHUNK - 1, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (2 * _CHUNK, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (2 * _CHUNK, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (2 * _CHUNK + 1, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (2 * _CHUNK + 1, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (10**6, 7, ("0x1.535312275564fp-1", "0x1.d57712da0516ap-1", "0x1.545cc155d79cbp-4", "0x1.0002cbf49659dp-1", 0)),
+            (10**6, 42, ("0x1.535308cabf29fp-1", "0x1.d54b8c842af19p-1", "0x1.54c45fa33c10ap-4", "0x1.ff390209a1cbep-2", 0)),
+        ],
+    )
+    def test_frozen_across_chunk_edges(self, samples, seed, expected):
+        report = verify_bound(samples, seed)
+        arg = report.arg_max
+        observed = (
+            report.max_gamma_observed.hex(),
+            arg.risk_exposed.hex(),
+            arg.risk_unexposed.hex(),
+            arg.exposure.hex(),
+            report.violations,
+        )
+        assert observed == expected
+
+    def test_memory_stays_flat(self):
+        # numpy reports its buffers to tracemalloc; evaluating all 4e6
+        # triples at once peaked near 370 MiB.
+        tracemalloc.start()
+        try:
+            verify_bound(4 * 10**6, 42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("samples,seed", [(0, 1), (-5, 1), (2.0, 1), (10, -1)])
     def test_domain(self, samples, seed):

@@ -196,8 +196,8 @@ class TestSeries:
 
     def test_partial_sums_validation(self):
         problem = KeplerProblem(1.0, 0.3)
-        # A table stops at the first order past the cap, and names it.
-        with pytest.raises(OrderTooLarge, match="order 65 exceeds"):
+        # Past the cap, the error names the order that was asked for.
+        with pytest.raises(OrderTooLarge, match="order 100 exceeds the supported cap 64"):
             series_partial_sums(problem, 100)
         with pytest.raises(DomainError, match="order must be a positive integer, got 0"):
             series_partial_sums(problem, 0)
