@@ -463,9 +463,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    validate = getattr(args, "validate_fn", None)
-    if validate is not None:
-        message = validate(args)
+    if args.validate_fn is not None:
+        message = args.validate_fn(args)
         if message is not None:
             sys.stderr.write(f"keplor {args.command_name}: error: {message}\n")
             return 2
@@ -479,8 +478,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         envelope["status"] = "error"
         envelope["error_message"] = str(exc)
         code = 1
-    fmt = getattr(args, "format", None) or "json"
-    sys.stdout.write(_render(envelope, fmt))
+    sys.stdout.write(_render(envelope, args.format))
     return code
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ZeroCell, ZeroMargin
+from .errors import DomainError, InconsistentParams, NonFinite, ZeroCell, ZeroMargin
 
 __all__ = [
     "TwoByTwoTable",
@@ -41,6 +41,19 @@ def _check_probability(name: str, value: float) -> None:
     # NaN fails both comparisons, so it is rejected here too.
     if not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def _check_derived(name: str, value: float) -> None:
+    # A mix of two tiny probabilities can underflow to 0 before it is divided by.
+    if not 0.0 < value < 1.0:
+        raise InconsistentParams(f"derived {name} {value!r} falls outside (0, 1)")
+
+
+def _log_odds(odds_ratio: float) -> float:
+    """math.log, raising NonFinite where an odds ratio underflowed to 0."""
+    if odds_ratio == 0.0:
+        raise NonFinite("odds ratio underflows to 0 in double precision")
+    return math.log(odds_ratio)
 
 
 def _check_count(name: str, value: int) -> None:
@@ -183,14 +196,18 @@ def estimate_proportions(table: TwoByTwoTable) -> Proportions:
 
 
 def _corrected_cells(table: TwoByTwoTable, correction: bool) -> tuple[float, ...]:
-    if correction:
-        return tuple(c + 0.5 for c in table.cells())
-    if 0 in table.cells():
+    if not correction and 0 in table.cells():
         raise ZeroCell(
             "table contains an empty cell; pass correction=True to add 0.5 "
             "to every cell"
         )
-    return tuple(float(c) for c in table.cells())
+    try:
+        cells = tuple(float(c) for c in table.cells())
+    except OverflowError:
+        raise NonFinite("a count exceeds the double-precision range") from None
+    if correction:
+        return tuple(c + 0.5 for c in cells)
+    return cells
 
 
 def estimate_odds_ratio(
@@ -203,7 +220,7 @@ def estimate_odds_ratio(
     """
     c11, c12, c21, c22 = _corrected_cells(table, correction)
     odds_ratio = (c11 * c22) / (c12 * c21)
-    return OddsRatioEstimate(odds_ratio=odds_ratio, log_odds=math.log(odds_ratio))
+    return OddsRatioEstimate(odds_ratio=odds_ratio, log_odds=_log_odds(odds_ratio))
 
 
 def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
@@ -224,6 +241,7 @@ def cohort_to_risk(cohort: CohortParams) -> RiskParams:
     q = cohort.exposure_controls
     w = cohort.prevalence
     exposure = w * p + (1.0 - w) * q
+    _check_derived("exposure", exposure)
     return RiskParams(
         risk_exposed=w * p / exposure,
         risk_unexposed=w * (1.0 - p) / (1.0 - exposure),
@@ -237,6 +255,7 @@ def risk_to_cohort(risk: RiskParams) -> CohortParams:
     ru = risk.risk_unexposed
     v = risk.exposure
     prevalence = v * re_ + (1.0 - v) * ru
+    _check_derived("prevalence", prevalence)
     return CohortParams(
         exposure_cases=v * re_ / prevalence,
         exposure_controls=v * (1.0 - re_) / (1.0 - prevalence),

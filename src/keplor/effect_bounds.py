@@ -22,6 +22,7 @@ from .contingency import (
     EffectSummary,
     RiskParams,
     _check_probability,
+    _log_odds,
     odds_and_risk_ratio,
 )
 from .errors import DomainError
@@ -99,7 +100,12 @@ def sigma2_by_prevalence(
     _check_probability("exposure_cases", exposure_cases)
     _check_probability("exposure_controls", exposure_controls)
     p, q, w = exposure_cases, exposure_controls, prevalence
-    return 1.0 / (w * p * (1.0 - p)) + 1.0 / ((1.0 - w) * q * (1.0 - q))
+    try:
+        return 1.0 / (w * p * (1.0 - p)) + 1.0 / ((1.0 - w) * q * (1.0 - q))
+    except ZeroDivisionError:
+        # A product of probabilities underflowed to 0; its reciprocal lies
+        # past the largest double, so inf is the correctly rounded result.
+        return math.inf
 
 
 def sigma2_by_exposure(
@@ -110,7 +116,11 @@ def sigma2_by_exposure(
     _check_probability("risk_exposed", risk_exposed)
     _check_probability("risk_unexposed", risk_unexposed)
     re_, ru, v = risk_exposed, risk_unexposed, exposure
-    return 1.0 / (v * re_ * (1.0 - re_)) + 1.0 / ((1.0 - v) * ru * (1.0 - ru))
+    try:
+        return 1.0 / (v * re_ * (1.0 - re_)) + 1.0 / ((1.0 - v) * ru * (1.0 - ru))
+    except ZeroDivisionError:
+        # As in sigma2_by_prevalence.
+        return math.inf
 
 
 def min_variance_prevalence(exposure_cases: float, exposure_controls: float) -> float:
@@ -153,7 +163,7 @@ def optimal_risk(odds_ratio: float) -> RiskParams:
 
 def standardized_effect(risk: RiskParams) -> float:
     """ln(odds ratio) over the design standard deviation sqrt(sigma2_by_exposure)."""
-    log_odds = math.log(odds_and_risk_ratio(risk).odds_ratio)
+    log_odds = _log_odds(odds_and_risk_ratio(risk).odds_ratio)
     sigma = math.sqrt(
         sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
     )
@@ -163,7 +173,7 @@ def standardized_effect(risk: RiskParams) -> float:
 def summarize_risk(risk: RiskParams) -> EffectSummary:
     """Bundle the effect measures implied by a risk triple."""
     ratios = odds_and_risk_ratio(risk)
-    log_odds = math.log(ratios.odds_ratio)
+    log_odds = _log_odds(ratios.odds_ratio)
     sigma = math.sqrt(
         sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
     )

@@ -1,6 +1,6 @@
 """Kepler-equation solving and the eccentricity power series.
 
-The equation M = E - ecc*sin(E) is solved two ways: a safeguarded Newton
+The equation M = E - ecc*sin(E) is solved two ways: a bracketed Newton
 iteration (valid for every eccentricity below 1) and the classical power
 series in the eccentricity from Lagrange inversion.  The series converges
 only while the eccentricity stays below max_x x/cosh(x) = 0.6627..., the same
@@ -40,7 +40,6 @@ TWO_PI = 2.0 * math.pi
 SERIES_ORDER_CAP = 64
 
 _NEWTON_BUDGET = 60
-_BISECTION_BUDGET = 200
 
 
 def _check_eccentricity(value: float) -> None:
@@ -65,12 +64,12 @@ class KeplerProblem:
 class KeplerSolution:
     """Eccentric anomaly with its residual and provenance.
 
-    ``method`` is "newton", "bisection", or "series";
-    ``iterations_or_order`` counts solver iterations for the first two and
-    echoes the truncation order for the series.  The residual is measured on
-    the internally reduced problem (mean anomaly folded into [0, pi]); for
-    newton/bisection it is at most the requested tolerance, for the series it
-    is reported as-is and can be large outside the convergence radius.
+    ``method`` is "newton" or "series"; ``iterations_or_order`` counts
+    Newton iterations or echoes the truncation order of the series.  The
+    residual is measured on the internally reduced problem (mean anomaly
+    folded into [0, pi]); for newton it is at most the requested tolerance,
+    for the series it is reported as-is and can be large outside the
+    convergence radius.
     """
 
     eccentric_anomaly: float
@@ -101,17 +100,18 @@ def _reduce(m: float) -> tuple[float, float, float]:
     return -r, -1.0, base
 
 
-def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, str, int]:
-    """Solve on the reduced domain m in [0, pi]; returns (E, residual, method, iters).
+def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int]:
+    """Solve on the reduced domain m in [0, pi]; returns (E, residual, iterations).
 
     Newton from the starter m + ecc*sin(m), which provably lies in the
     enclosure [m, min(pi, m + ecc)].  Every candidate step is kept inside the
     current sign-change enclosure (an escaping step is replaced by the
-    midpoint), so the iteration cannot wander; if the Newton budget is
-    somehow exhausted, a pure bisection phase finishes the job.
+    midpoint), so the iteration cannot wander.  Past _NEWTON_BUDGET
+    iterations it raises NoConvergence; on every tested input that happens
+    only when tol lies below the rounding error of the residual itself.
     """
     if ecc == 0.0 or m == 0.0 or m == math.pi:
-        return m, abs(ecc * math.sin(m)), "newton", 0
+        return m, abs(ecc * math.sin(m)), 0
     lo, hi = m, min(math.pi, m + ecc)
     x = m + ecc * math.sin(m)
     if x > hi:
@@ -119,22 +119,13 @@ def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, str,
     for iteration in range(1, _NEWTON_BUDGET + 1):
         fx = x - ecc * math.sin(x) - m
         if abs(fx) <= tol:
-            return x, abs(fx), "newton", iteration
+            return x, abs(fx), iteration
         if fx < 0.0:
             lo = x
         else:
             hi = x
         candidate = x - fx / (1.0 - ecc * math.cos(x))
         x = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    for iteration in range(_NEWTON_BUDGET + 1, _NEWTON_BUDGET + _BISECTION_BUDGET + 1):
-        x = 0.5 * (lo + hi)
-        fx = x - ecc * math.sin(x) - m
-        if abs(fx) <= tol:
-            return x, abs(fx), "bisection", iteration
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
     raise NoConvergence(
         f"kepler solve stalled at m={m!r}, eccentricity={ecc!r}, tol={tol!r}"
     )
@@ -150,13 +141,11 @@ def kepler_solve(problem: KeplerProblem, tol: float = 1e-12) -> KeplerSolution:
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     reduced, sign, base = _reduce(problem.mean_anomaly)
-    root, residual, method, iterations = _solve_reduced(
-        reduced, problem.eccentricity, tol
-    )
+    root, residual, iterations = _solve_reduced(reduced, problem.eccentricity, tol)
     return KeplerSolution(
         eccentric_anomaly=sign * root + base,
         residual=residual,
-        method=method,
+        method="newton",
         iterations_or_order=iterations,
     )
 

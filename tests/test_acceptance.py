@@ -121,7 +121,7 @@ def test_criterion_05_minimizer_certificates():
 def test_criterion_06_solver_grid():
     worst_residual = 0.0
     worst_roundtrip = 0.0
-    fallbacks = 0
+    non_newton = 0
     eccentricities = [round(0.05 * k, 2) for k in range(20)] + [0.99]
     anomalies = list(np.linspace(0.0, math.pi, 64))
     for ecc in eccentricities:
@@ -131,14 +131,14 @@ def test_criterion_06_solver_grid():
             recovered = mean_anomaly(solution.eccentric_anomaly, ecc)
             worst_roundtrip = max(worst_roundtrip, abs(recovered - float(m)))
             if solution.method != "newton":
-                fallbacks += 1
+                non_newton += 1
     print(
         f"grid={len(eccentricities)}x{len(anomalies)} worst_residual={worst_residual:.3e} "
-        f"worst_roundtrip={worst_roundtrip:.3e} bisection_fallbacks={fallbacks}"
+        f"worst_roundtrip={worst_roundtrip:.3e} non_newton={non_newton}"
     )
     assert worst_residual < 1e-12
     assert worst_roundtrip < 1e-11
-    assert fallbacks == 0
+    assert non_newton == 0
 
 
 def test_criterion_07_series_convergence_boundary():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import keplor
 from keplor.cli import build_parser, main, run
@@ -148,6 +151,22 @@ class TestDomainErrors:
             ["prior", "flattest", "--or-threshold", "0.5", "--tail-mass", "0.025"],
             ["verify", "--samples", "0", "--seed", "1"],
             ["kepler", "diverge-table", "--m", "1", "--eps", "0.3", "--max-order", "0"],
+            # Past the double range: a count, the cross product, a variance
+            # denominator, a pooled exposure and an odds ratio.
+            ["table", "--counts", f"{10**400},1,1,1"],
+            ["table", "--counts", f"{10**400},1,1,1", "--correction"],
+            ["table", "--counts", f"2,{10**200},{10**200},1000"],
+            ["bounds", "--risk-exposed", "0.9999999999999999", "--risk-unexposed", "5e-324"],
+            ["bounds", "--p", "5e-324", "--q", "5e-324"],
+            [
+                "bounds",
+                "--risk-exposed",
+                "5e-324",
+                "--risk-unexposed",
+                "0.9037397020443425",
+                "--exposure",
+                "1e-17",
+            ],
         ],
     )
     def test_exit_one_with_error_envelope(self, capsys, argv):
@@ -224,6 +243,13 @@ class TestSpotValues:
         results = json.loads(out)["results"]
         assert results["tail_quantile"] == pytest.approx(8.493793224109599, rel=1e-14)
 
+    def test_overflowing_odds_ratio_stays_ok(self, capsys):
+        code, out, _ = capture(capsys, ["table", "--counts", f"{10**200},1,1,{10**200}"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["odds_ratio"] == math.inf
+        assert results["log_odds"] == math.inf
+
     def test_wm_pathway(self, capsys):
         code, out, _ = capture(capsys, ["prior", "wm-pathway", "--or", "4", "--risk-exposed", "0.5"])
         assert code == 0
@@ -269,3 +295,124 @@ class TestLazyNumpy:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
         assert done.stdout.split() == ["False", "0", "False"]
+
+
+# Every argv gets one envelope: numbers from the float extremes and counts
+# past the double range, for every subcommand.
+_EDGE_FLOATS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    5e-324,
+    1e-300,
+    1e300,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-17,
+    0.9999999999999999,
+    1.0,
+]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(0.0, 1.0) | st.floats(-10.0, 10.0)
+_COUNTS = st.sampled_from([0, 1, 2, 1000, 10**200, 10**400]) | st.integers(0, 50)
+_COUNT_LISTS = st.lists(_COUNTS, min_size=4, max_size=4).map(
+    lambda counts: ",".join(map(str, counts))
+)
+_FLAG = st.just(True)
+
+
+def _command(words, required=(), optional=()):
+    """argv strategy: the words, each required option, each optional one or not."""
+    flags = [flag for flag, _ in required] + [flag for flag, _ in optional]
+    values = [strategy for _, strategy in required]
+    values += [st.none() | strategy for _, strategy in optional]
+
+    def build(drawn):
+        argv = list(words)
+        for flag, value in zip(flags, drawn):
+            if value is True:
+                argv.append(flag)
+            elif value is not None:
+                argv.append(f"{flag}={value}")
+        return argv
+
+    return st.tuples(*values).map(build)
+
+
+_ARGVS = st.one_of(
+    _command(["table"], [("--counts", _COUNT_LISTS)], [("--correction", _FLAG)]),
+    _command(
+        ["bounds"],
+        optional=[
+            (flag, _FLOATS)
+            for flag in (
+                "--or",
+                "--rr",
+                "--p",
+                "--q",
+                "--prevalence",
+                "--risk-exposed",
+                "--risk-unexposed",
+                "--exposure",
+            )
+        ],
+    ),
+    _command(["constants"]),
+    _command(
+        ["kepler", "solve"], [("--m", _FLOATS), ("--eps", _FLOATS)], [("--tol", _FLOATS)]
+    ),
+    _command(
+        ["kepler", "series"],
+        [("--m", _FLOATS), ("--eps", _FLOATS), ("--order", st.integers(-1, 66))],
+    ),
+    _command(
+        ["kepler", "diverge-table"],
+        [("--m", _FLOATS), ("--eps", _FLOATS), ("--max-order", st.integers(-1, 66))],
+        [("--tol", _FLOATS)],
+    ),
+    _command(
+        ["prior", "flattest"],
+        [("--or-threshold", _FLOATS), ("--tail-mass", _FLOATS)],
+        [("--sigma", _FLOATS)],
+    ),
+    _command(["prior", "wm-pathway"], [("--or", _FLOATS), ("--risk-exposed", _FLOATS)]),
+    _command(
+        ["verify"], [("--samples", st.integers(-1, 4)), ("--seed", st.integers(-1, 3))]
+    ),
+    _command(["pz"], optional=[("--p", _FLOATS), ("--z", _FLOATS)]),
+)
+
+
+class TestEnvelopeContract:
+    @given(argv=_ARGVS, text=st.booleans())
+    @example(argv=["table", f"--counts={10**400},1,1,1"], text=False)
+    @example(argv=["table", f"--counts={10**400},1,1,1", "--correction"], text=False)
+    @example(argv=["table", f"--counts=2,{10**200},{10**200},1000"], text=False)
+    @example(
+        argv=["bounds", "--risk-exposed=0.9999999999999999", "--risk-unexposed=5e-324"],
+        text=False,
+    )
+    @example(argv=["bounds", "--p=5e-324", "--q=5e-324"], text=False)
+    @example(
+        argv=[
+            "bounds",
+            "--risk-exposed=5e-324",
+            "--risk-unexposed=0.9037397020443425",
+            "--exposure=1e-17",
+        ],
+        text=False,
+    )
+    def test_one_envelope_for_any_argv(self, argv, text):
+        if text:
+            argv = argv + ["--format=text"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        if text:
+            assert out.getvalue().count("\nstatus=") == 1
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict)

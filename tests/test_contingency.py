@@ -16,7 +16,13 @@ from keplor.contingency import (
     t_statistic,
 )
 from keplor.effect_bounds import sigma2_by_prevalence
-from keplor.errors import DomainError, ZeroCell, ZeroMargin
+from keplor.errors import (
+    DomainError,
+    InconsistentParams,
+    NonFinite,
+    ZeroCell,
+    ZeroMargin,
+)
 
 counts = st.integers(min_value=1, max_value=200)
 positive_tables = st.builds(TwoByTwoTable, counts, counts, counts, counts)
@@ -83,6 +89,22 @@ class TestEstimators:
             estimate_odds_ratio(TwoByTwoTable(10, 0, 5, 5))
         with pytest.raises(ZeroCell):
             t_statistic(TwoByTwoTable(10, 0, 5, 5))
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_count_past_double_range(self, correction):
+        table = TwoByTwoTable(10**400, 1, 1, 1)
+        with pytest.raises(NonFinite, match="double-precision range"):
+            estimate_odds_ratio(table, correction)
+        with pytest.raises(NonFinite, match="double-precision range"):
+            t_statistic(table, correction)
+
+    def test_zero_cell_reported_before_huge_count(self):
+        with pytest.raises(ZeroCell):
+            estimate_odds_ratio(TwoByTwoTable(10**400, 0, 1, 1))
+
+    def test_cross_product_underflow(self):
+        with pytest.raises(NonFinite, match="underflows to 0"):
+            estimate_odds_ratio(TwoByTwoTable(2, 10**200, 10**200, 1000))
 
     def test_corrected_odds_ratio(self):
         estimate = estimate_odds_ratio(TwoByTwoTable(10, 0, 5, 5), correction=True)
@@ -184,6 +206,14 @@ class TestConversions:
         assert independent.exposure_cases == pytest.approx(0.3, abs=1e-15)
         assert independent.exposure_controls == pytest.approx(0.3, abs=1e-15)
         assert independent.prevalence == pytest.approx(0.1, abs=1e-15)
+
+    def test_mix_underflowing_to_zero(self):
+        # Both halves of the mix round to 0.0, so the derived probability
+        # would divide by zero.
+        with pytest.raises(InconsistentParams, match="derived exposure 0.0"):
+            cohort_to_risk(CohortParams(5e-324, 5e-324, 0.5))
+        with pytest.raises(InconsistentParams, match="derived prevalence 0.0"):
+            risk_to_cohort(RiskParams(5e-324, 5e-324, 0.5))
 
     @given(probs, probs, probs)
     def test_round_trip(self, risk_exposed, risk_unexposed, exposure):

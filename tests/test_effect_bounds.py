@@ -21,7 +21,7 @@ from keplor.effect_bounds import (
     summarize_risk,
     verify_bound,
 )
-from keplor.errors import DomainError
+from keplor.errors import DomainError, NonFinite
 
 # Frozen oracles: 50-digit evaluations rounded once to double.
 TANH_ROOT = 1.1996786402577337
@@ -58,6 +58,11 @@ class TestVarianceFactors:
     def test_self_dual_point(self):
         # At (1/2, x, 1-x) both parameterizations coincide.
         assert sigma2_by_prevalence(0.5, 0.7, 0.3) == sigma2_by_exposure(0.5, 0.7, 0.3)
+
+    def test_underflowing_denominator_gives_inf(self):
+        # 0.5 * 5e-324 rounds to 0; the true factor exceeds the largest double.
+        assert sigma2_by_prevalence(0.5, 5e-324, 0.5) == math.inf
+        assert sigma2_by_exposure(0.5, 0.5, 5e-324) == math.inf
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])
     def test_domain(self, bad):
@@ -162,6 +167,13 @@ class TestStandardizedEffect:
     def test_near_peak(self):
         value = standardized_effect(RiskParams(0.916778, 0.083222, 0.5))
         assert abs(value - 0.662743) < 1e-6
+
+    def test_odds_ratio_underflow(self):
+        risks = RiskParams(5e-324, 0.9037397020443425, 1e-17)
+        with pytest.raises(NonFinite, match="underflows to 0"):
+            standardized_effect(risks)
+        with pytest.raises(NonFinite, match="underflows to 0"):
+            summarize_risk(risks)
 
     def test_summary_bundles_consistently(self):
         risks = RiskParams(0.5, 0.2, 0.35)
