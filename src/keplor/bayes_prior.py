@@ -10,7 +10,6 @@ defensible assumption and therefore the flattest (largest-variance) prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .contingency import RiskParams, risk_to_cohort
@@ -19,7 +18,7 @@ from .effect_bounds import (
     min_variance_prevalence,
     sigma2_by_prevalence,
 )
-from .errors import DomainError, InconsistentParams
+from .errors import DomainError, InconsistentParams, _Record
 from .numerics import normal_cdf, normal_quantile
 
 __all__ = [
@@ -33,14 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Record):
     """A tail statement and the prior variance it induces.
 
     The tail statement is Pr(odds ratio > or_threshold) = tail_mass under the
     normal prior for the standardized effect; assumed_sigma is the standard
-    deviation assumed for the log odds ratio; prior_variance is the variance
-    of the induced prior.
+    deviation assumed for the log odds ratio.  flattest_prior validates those
+    three inputs; the record itself checks only the induced prior_variance.
     """
 
     or_threshold: float
@@ -49,16 +47,6 @@ class PriorSpec:
     prior_variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.or_threshold) and self.or_threshold > 1.0):
-            raise DomainError(
-                f"or_threshold must exceed 1, got {self.or_threshold!r}"
-            )
-        if not 0.0 < self.tail_mass < 1.0:
-            raise DomainError(f"tail_mass must lie in (0, 1), got {self.tail_mass!r}")
-        if not (math.isfinite(self.assumed_sigma) and self.assumed_sigma > 0.0):
-            raise DomainError(
-                f"assumed_sigma must be positive, got {self.assumed_sigma!r}"
-            )
         if not (math.isfinite(self.prior_variance) and self.prior_variance > 0.0):
             raise DomainError(
                 f"prior_variance must be positive, got {self.prior_variance!r}"

@@ -11,10 +11,9 @@ count estimators and the Bayes maps between the two parameterizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, InconsistentParams, NonFinite, ZeroCell, ZeroMargin
+from .errors import DomainError, InconsistentParams, NonFinite, ZeroCell, ZeroMargin, _Record
 
 __all__ = [
     "TwoByTwoTable",
@@ -63,8 +62,7 @@ def _check_count(name: str, value: int) -> None:
         raise DomainError(f"{name} must be non-negative, got {value!r}")
 
 
-@dataclass(frozen=True)
-class TwoByTwoTable:
+class TwoByTwoTable(_Record):
     """Counts n11, n12 (cases exposed/unexposed), n21, n22 (controls)."""
 
     n11: int
@@ -112,8 +110,7 @@ class TwoByTwoTable:
         return cls(*counts)
 
 
-@dataclass(frozen=True)
-class CohortParams:
+class CohortParams(_Record):
     """Exposure probabilities among cases and controls, plus case prevalence."""
 
     exposure_cases: float
@@ -121,13 +118,11 @@ class CohortParams:
     prevalence: float
 
     def __post_init__(self) -> None:
-        _check_probability("exposure_cases", self.exposure_cases)
-        _check_probability("exposure_controls", self.exposure_controls)
-        _check_probability("prevalence", self.prevalence)
+        for name, value in self.__dict__.items():
+            _check_probability(name, value)
 
 
-@dataclass(frozen=True)
-class RiskParams:
+class RiskParams(_Record):
     """Disease risks among exposed and unexposed, plus pooled exposure."""
 
     risk_exposed: float
@@ -135,13 +130,11 @@ class RiskParams:
     exposure: float
 
     def __post_init__(self) -> None:
-        _check_probability("risk_exposed", self.risk_exposed)
-        _check_probability("risk_unexposed", self.risk_unexposed)
-        _check_probability("exposure", self.exposure)
+        for name, value in self.__dict__.items():
+            _check_probability(name, value)
 
 
-@dataclass(frozen=True)
-class EffectSummary:
+class EffectSummary(_Record):
     """Odds ratio, risk ratio, log odds, its standard deviation, and their quotient."""
 
     odds_ratio: float
@@ -151,12 +144,10 @@ class EffectSummary:
     standardized: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.odds_ratio) and self.odds_ratio > 0.0):
-            raise DomainError(f"odds_ratio must be positive, got {self.odds_ratio!r}")
-        if not (math.isfinite(self.risk_ratio) and self.risk_ratio > 0.0):
-            raise DomainError(f"risk_ratio must be positive, got {self.risk_ratio!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        for name in ("odds_ratio", "risk_ratio", "sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if self.log_odds != math.log(self.odds_ratio):
             raise DomainError("log_odds must equal log(odds_ratio) by construction")
         if self.standardized != self.log_odds / self.sigma:

@@ -15,7 +15,6 @@ only numpy user in the package and imports numpy on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .contingency import (
@@ -25,7 +24,7 @@ from .contingency import (
     _log_odds,
     odds_and_risk_ratio,
 )
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .kepler import _tanh_root
 
 __all__ = [
@@ -49,8 +48,7 @@ __all__ = [
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(_Record):
     """The constants of the standardized-effect ceiling.
 
     tanh_root
@@ -72,8 +70,7 @@ class BoundConstants:
     peak_risk: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of the brute-force bound check over sampled risk triples."""
 
     samples: int
@@ -317,11 +314,7 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     return VerificationReport(
         samples=n_samples,
         max_gamma_observed=max_gamma,
-        arg_max=RiskParams(
-            risk_exposed=arg_max[0],
-            risk_unexposed=arg_max[1],
-            exposure=arg_max[2],
-        ),
+        arg_max=RiskParams(*arg_max),
         violations=violations,
         bound=llc,
     )

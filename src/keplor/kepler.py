@@ -15,11 +15,9 @@ specialised to the reduced Kepler problem for speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NoConvergence, OrderTooLarge
+from .errors import DomainError, NoConvergence, OrderTooLarge, _Record
 from .numerics import Bracket, find_root
 
 __all__ = [
@@ -47,8 +45,7 @@ def _check_eccentricity(value: float) -> None:
         raise DomainError(f"eccentricity must lie in [0, 1), got {value!r}")
 
 
-@dataclass(frozen=True)
-class KeplerProblem:
+class KeplerProblem(_Record):
     """A mean anomaly (radians) and an elliptic eccentricity."""
 
     mean_anomaly: float
@@ -60,8 +57,7 @@ class KeplerProblem:
         _check_eccentricity(self.eccentricity)
 
 
-@dataclass(frozen=True)
-class KeplerSolution:
+class KeplerSolution(_Record):
     """Eccentric anomaly with its residual and provenance.
 
     ``method`` is "newton" or "series"; ``iterations_or_order`` counts
@@ -114,8 +110,6 @@ def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int]
         return m, abs(ecc * math.sin(m)), 0
     lo, hi = m, min(math.pi, m + ecc)
     x = m + ecc * math.sin(m)
-    if x > hi:
-        x = hi
     for iteration in range(1, _NEWTON_BUDGET + 1):
         fx = x - ecc * math.sin(x) - m
         if abs(fx) <= tol:
@@ -157,14 +151,15 @@ def _harmonic_terms(n: int) -> tuple[tuple[int, float], ...]:
     The order-n term is (1/n!) * d^{n-1}/dM^{n-1} [sin(M)^n].  Expanding
     sin(M)^n by the complex-exponential binomial identity and differentiating
     the harmonics term-wise gives the exact rational amplitudes
-    2 * C(n, j) * (-1)^j * (n-2j)^(n-1) / (2^n * n!), rounded to double once.
+    2 * C(n, j) * (-1)^j * (n-2j)^(n-1) / (2^n * n!); integer true division
+    rounds each one to double once, correctly.
     """
-    scale = Fraction(2, 2**n * math.factorial(n))
+    denominator = 2**n * math.factorial(n)
     terms = []
     for j in range((n - 1) // 2 + 1):
         k = n - 2 * j
-        amplitude = scale * math.comb(n, j) * (-1) ** j * k ** (n - 1)
-        terms.append((k, float(amplitude)))
+        numerator = 2 * math.comb(n, j) * (-1) ** j * k ** (n - 1)
+        terms.append((k, numerator / denominator))
     return tuple(terms)
 
 

@@ -7,10 +7,9 @@ call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, NoConvergence, NonFinite, NoSignChange
+from .errors import DomainError, NoConvergence, NonFinite, NoSignChange, _Record
 
 __all__ = ["Bracket", "RootResult", "find_root", "normal_cdf", "normal_quantile"]
 
@@ -18,8 +17,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(_Record):
     """Closed interval [lo, hi] expected to enclose a sign change."""
 
     lo: float
@@ -32,8 +30,7 @@ class Bracket:
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(_Record):
     """Outcome of a root solve: the root, |f(root)|, and iterations used."""
 
     root: float

@@ -178,6 +178,15 @@ class TestDomainErrors:
         assert envelope["results"] == {}
         assert envelope["error_message"]
 
+    def test_infinite_odds_ratio_names_finiteness(self, capsys):
+        # The odds ratio of this risk pair overflows to inf: the message must
+        # name the condition that failed, not positivity alone.
+        argv = ["bounds", "--risk-exposed", "0.9999999999999999", "--risk-unexposed", "1e-300"]
+        code, out, err = capture(capsys, argv)
+        assert (code, err) == (1, "")
+        envelope = json.loads(out)
+        assert envelope["error_message"] == "odds_ratio must be positive and finite, got inf"
+
 
 class TestSpotValues:
     def test_bounds_or_mode(self, capsys):
@@ -278,15 +287,17 @@ class TestEntryPoints:
 class TestLazyNumpy:
     def test_numpy_loaded_only_by_verify(self):
         # Only verify needs numpy; importing the package or running another
-        # subcommand must not pay for loading it.
+        # subcommand must not pay for loading it, nor for the record and
+        # rational-number machinery the package no longer uses.
         probe = (
             "import sys, io, contextlib\n"
             "import keplor\n"
             "from keplor import cli\n"
-            "after_import = 'numpy' in sys.modules\n"
+            "heavy = ('numpy', 'dataclasses', 'fractions', 'decimal', 'inspect')\n"
+            "after_import = [m for m in heavy if m in sys.modules]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.run(['constants'])\n"
-            "print(after_import, code, 'numpy' in sys.modules)\n"
+            "print(after_import, code, [m for m in heavy if m in sys.modules])\n"
         )
         src = str(pathlib.Path(keplor.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
@@ -294,7 +305,7 @@ class TestLazyNumpy:
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
-        assert done.stdout.split() == ["False", "0", "False"]
+        assert done.stdout.split() == ["[]", "0", "[]"]
 
 
 # Every argv gets one envelope: numbers from the float extremes and counts

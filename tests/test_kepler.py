@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +137,17 @@ class TestSeriesCoefficients:
             (4, 0.3333333333333333),
             (2, -0.16666666666666666),
         )
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_amplitudes_round_the_exact_rationals_once(self, n):
+        # The amplitudes are integer true divisions; each must be the exact
+        # rational rounded once, as float(Fraction) gives it.
+        scale = Fraction(2, 2**n * math.factorial(n))
+        expected = [
+            (k, float(scale * math.comb(n, j) * (-1) ** j * k ** (n - 1)).hex())
+            for j, k in enumerate(range(n, 0, -2))
+        ]
+        assert [(k, a.hex()) for k, a in _harmonic_terms(n)] == expected
 
     @given(st.floats(0.0, math.pi))
     def test_second_order_identity(self, m):
