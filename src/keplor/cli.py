@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Any, Callable, Optional
 
 from . import bayes_prior, contingency, effect_bounds, kepler
@@ -456,11 +457,16 @@ def _render(envelope: dict, fmt: str) -> str:
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `run` uses in a process; parsing never mutates it."""
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse argv, execute, print the envelope; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.validate_fn is not None:
@@ -484,3 +490,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

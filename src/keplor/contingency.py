@@ -233,11 +233,11 @@ def cohort_to_risk(cohort: CohortParams) -> RiskParams:
     w = cohort.prevalence
     exposure = w * p + (1.0 - w) * q
     _check_derived("exposure", exposure)
-    return RiskParams(
-        risk_exposed=w * p / exposure,
-        risk_unexposed=w * (1.0 - p) / (1.0 - exposure),
-        exposure=exposure,
-    )
+    risk_exposed = w * p / exposure
+    risk_unexposed = w * (1.0 - p) / (1.0 - exposure)
+    _check_derived("risk_exposed", risk_exposed)
+    _check_derived("risk_unexposed", risk_unexposed)
+    return RiskParams(risk_exposed, risk_unexposed, exposure)
 
 
 def risk_to_cohort(risk: RiskParams) -> CohortParams:

@@ -20,6 +20,7 @@ from functools import lru_cache
 from .contingency import (
     EffectSummary,
     RiskParams,
+    _check_derived,
     _check_probability,
     _log_odds,
     odds_and_risk_ratio,
@@ -124,12 +125,20 @@ def min_variance_prevalence(exposure_cases: float, exposure_controls: float) -> 
     """Prevalence minimizing sigma2_by_prevalence for fixed exposure probabilities.
 
     Closed form 1/(1 + sqrt(p(1-p)/(q(1-q)))), the simplification of
-    1/(1 + (p/q)/sqrt(OR)).
+    1/(1 + (p/q)/sqrt(OR)).  Raises InconsistentParams where the minimizer
+    lies closer to 0 or 1 than a double can tell apart.
     """
     _check_probability("exposure_cases", exposure_cases)
     _check_probability("exposure_controls", exposure_controls)
     p, q = exposure_cases, exposure_controls
-    return 1.0 / (1.0 + math.sqrt((p * (1.0 - p)) / (q * (1.0 - q))))
+    prevalence = 1.0 / (1.0 + math.sqrt((p * (1.0 - p)) / (q * (1.0 - q))))
+    if not 0.0 < prevalence < 1.0:
+        # The quotient overflowed or vanished; the balanced form
+        # sqrt(q(1-q)) / (sqrt(p(1-p)) + sqrt(q(1-q))) does neither.
+        root_p, root_q = math.sqrt(p * (1.0 - p)), math.sqrt(q * (1.0 - q))
+        prevalence = root_q / (root_p + root_q)
+        _check_derived("prevalence", prevalence)
+    return prevalence
 
 
 def min_variance_exposure(risk_ratio: float, odds_ratio: float) -> float:
@@ -159,12 +168,41 @@ def optimal_risk(odds_ratio: float) -> RiskParams:
 
 
 def standardized_effect(risk: RiskParams) -> float:
-    """ln(odds ratio) over the design standard deviation sqrt(sigma2_by_exposure)."""
+    """ln(odds ratio) over the design standard deviation sqrt(sigma2_by_exposure).
+
+    Where the odds ratio or the variance factor overflows, the quotient is
+    evaluated in a scaled form instead of giving nan or 0.
+    """
     log_odds = _log_odds(odds_and_risk_ratio(risk).odds_ratio)
-    sigma = math.sqrt(
-        sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
-    )
-    return log_odds / sigma
+    sigma2 = sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
+    if math.isinf(log_odds) or math.isinf(sigma2):
+        return _scaled_standardized_effect(log_odds, risk)
+    return log_odds / math.sqrt(sigma2)
+
+
+def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
+    """standardized_effect past the double range.
+
+    An infinite ln(or) is retaken as a difference of logits, and each product
+    in the variance factor is held as a mantissa times a power of two, which
+    scales exactly.
+    """
+    re_, ru, v = risk.risk_exposed, risk.risk_unexposed, risk.exposure
+    if math.isinf(log_odds):
+        log_odds = (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
+    reciprocals = []
+    for factors in ((v, re_, 1.0 - re_), (1.0 - v, ru, 1.0 - ru)):
+        mantissa, exponent = 1.0, 0
+        for factor in factors:
+            m, e = math.frexp(factor)
+            mantissa *= m
+            exponent += e
+        reciprocals.append((1.0 / mantissa, -exponent))
+    # sigma2 = a * 2**ea + b * 2**eb = s * 4**half, with s in (1/2, 16].
+    (a, ea), (b, eb) = reciprocals
+    half = (max(ea, eb) + 1) // 2
+    s = math.ldexp(a, ea - 2 * half) + math.ldexp(b, eb - 2 * half)
+    return math.ldexp(log_odds / math.sqrt(s), -half)
 
 
 def summarize_risk(risk: RiskParams) -> EffectSummary:
@@ -243,28 +281,68 @@ def bound_constants() -> BoundConstants:
     )
 
 
-def _check_chunk(points, llc: float) -> tuple[int, int, float]:
-    """Clip one chunk in place; return (violations, argmax row index, max |gamma|)."""
+def _check_chunk(points, llc: float, columns, scratch) -> tuple[int, int, float]:
+    """Clip one chunk into `columns`; return (violations, argmax row, max |gamma|).
+
+    `points` holds the drawn (rows, 3) triples.  `columns` (3, rows) and
+    `scratch` (4, rows) are buffers reused across chunks, with at least as
+    many rows.  Each step is the ufunc the plain expression would apply, on
+    the same operands and in the same order, written into a contiguous
+    scratch row instead of a fresh temporary, so the results are the same
+    bit for bit.
+    """
     import numpy as np
 
-    np.clip(points, 1e-12, 1.0 - 1e-12, out=points)
-    risk_exposed = points[:, 0]
-    risk_unexposed = points[:, 1]
-    exposure = points[:, 2]
+    n = len(points)
+    columns = columns[:, :n]
+    np.clip(points.T, 1e-12, 1.0 - 1e-12, out=columns)
+    risk_exposed, risk_unexposed, exposure = columns
+    log_odds, gamma_abs, term, other = scratch[:, :n]
 
-    log_odds = (np.log(risk_exposed) - np.log1p(-risk_exposed)) - (
-        np.log(risk_unexposed) - np.log1p(-risk_unexposed)
-    )
-    sigma2 = 1.0 / (exposure * risk_exposed * (1.0 - risk_exposed)) + 1.0 / (
-        (1.0 - exposure) * risk_unexposed * (1.0 - risk_unexposed)
-    )
-    gamma_abs = np.abs(log_odds / np.sqrt(sigma2))
-    # |max_standardized_effect(or)| = bound_curve(|ln or|), branch-free here.
-    quarter = np.abs(log_odds) / 4.0
-    per_or_bound = quarter / np.cosh(quarter)
-    violations = (gamma_abs > per_or_bound + 1e-12) | (gamma_abs > llc + 1e-12)
+    # log_odds = (log(re) - log1p(-re)) - (log(ru) - log1p(-ru))
+    np.negative(risk_exposed, out=term)
+    np.log1p(term, out=term)
+    np.log(risk_exposed, out=log_odds)
+    np.subtract(log_odds, term, out=log_odds)
+    np.negative(risk_unexposed, out=term)
+    np.log1p(term, out=term)
+    np.log(risk_unexposed, out=other)
+    np.subtract(other, term, out=other)
+    np.subtract(log_odds, other, out=log_odds)
+
+    # sigma2 = 1/(v * re * (1-re)) + 1/((1-v) * ru * (1-ru)), into gamma_abs
+    np.multiply(exposure, risk_exposed, out=gamma_abs)
+    np.subtract(1.0, risk_exposed, out=term)
+    np.multiply(gamma_abs, term, out=gamma_abs)
+    np.divide(1.0, gamma_abs, out=gamma_abs)
+    np.subtract(1.0, exposure, out=term)
+    np.multiply(term, risk_unexposed, out=term)
+    np.subtract(1.0, risk_unexposed, out=other)
+    np.multiply(term, other, out=term)
+    np.divide(1.0, term, out=term)
+    np.add(gamma_abs, term, out=gamma_abs)
+
+    # gamma_abs = |log_odds / sqrt(sigma2)|
+    np.sqrt(gamma_abs, out=gamma_abs)
+    np.divide(log_odds, gamma_abs, out=gamma_abs)
+    np.abs(gamma_abs, out=gamma_abs)
+
+    # |max_standardized_effect(or)| = bound_curve(|ln or|), branch-free here:
+    # quarter / cosh(quarter) with quarter = |log_odds| / 4, plus the slack.
+    quarter = np.abs(log_odds, out=log_odds)
+    np.divide(quarter, 4.0, out=quarter)
+    np.cosh(quarter, out=term)
+    np.divide(quarter, term, out=term)
+    np.add(term, 1e-12, out=term)
+
+    # The bytes of the spent `other` row hold the two violation flag rows.
+    flags = other.view(np.bool_)
+    above_curve, above_limit = flags[:n], flags[n : 2 * n]
+    np.greater(gamma_abs, term, out=above_curve)
+    np.greater(gamma_abs, llc + 1e-12, out=above_limit)
+    np.logical_or(above_curve, above_limit, out=above_curve)
     top = int(np.argmax(gamma_abs))
-    return int(np.count_nonzero(violations)), top, float(gamma_abs[top])
+    return int(np.count_nonzero(above_curve)), top, float(gamma_abs[top])
 
 
 def verify_bound(n_samples: int, seed: int) -> VerificationReport:
@@ -276,9 +354,10 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     |gamma| exceeds |max_standardized_effect(or)| + 1e-12 or the Laplace
     limit + 1e-12.  Deterministic for a given (n_samples, seed).
 
-    Triples are drawn and checked _CHUNK rows at a time, keeping only running
-    totals, so memory stays flat at any n_samples; the report is the one an
-    evaluation of all triples at once gives.  numpy is imported on first call.
+    Triples are drawn and checked _CHUNK rows at a time into one set of
+    buffers allocated per call, keeping only running totals, so memory stays
+    flat at any n_samples; the report is the one an evaluation of all triples
+    at once gives.  numpy is imported on first call.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -291,6 +370,10 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     rng = np.random.default_rng(seed)
     center = np.array([constants.peak_risk, 1.0 - constants.peak_risk, 0.5])
     n_uniform = n_samples // 2
+    rows = min(n_samples, _CHUNK)
+    draws = np.empty((rows, 3))
+    columns = np.empty((3, rows))
+    scratch = np.empty((4, rows))
     violations = 0
     max_gamma = -math.inf
     for start in range(0, n_samples, _CHUNK):
@@ -299,18 +382,20 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
         # all uniform rows followed by one draw of all Gaussian rows.
         stop = min(start + _CHUNK, n_samples)
         split = min(max(n_uniform, start), stop) - start
-        points = np.empty((stop - start, 3))
+        points = draws[: stop - start]
         rng.random(out=points[:split])
+        # numpy draws normal(0, 0.02) as 0.0 + 0.02 * z, z by z.
         concentrated = points[split:]
-        concentrated[...] = rng.normal(0.0, 0.02, concentrated.shape)
+        rng.standard_normal(out=concentrated)
+        concentrated *= 0.02
         concentrated += center
-        count, top, gamma = _check_chunk(points, llc)
+        count, top, gamma = _check_chunk(points, llc, columns, scratch)
         violations += count
         # Strict >: a tie in a later chunk keeps the earlier row, the first
         # occurrence np.argmax would pick over all triples.
         if gamma > max_gamma:
             max_gamma = gamma
-            arg_max = points[top].tolist()
+            arg_max = columns[:, top].tolist()
     return VerificationReport(
         samples=n_samples,
         max_gamma_observed=max_gamma,

@@ -11,10 +11,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import keplor
+from keplor import cli
 from keplor.cli import build_parser, main, run
 from keplor.kepler import KeplerProblem, kepler_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _subprocess_env():
+    """The environment with this test run's keplor first on PYTHONPATH."""
+    src = str(pathlib.Path(keplor.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def capture(capsys, argv):
@@ -178,6 +186,21 @@ class TestDomainErrors:
         assert envelope["results"] == {}
         assert envelope["error_message"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # The variance-minimizing prevalence is 4.4e-162, but the risk
+            # among the exposed it implies, 1 - 2.2e-162, rounds to 1.0.
+            (["bounds", "--p", "0.5", "--q", "5e-324"], "derived risk_exposed 1.0 falls outside (0, 1)"),
+            # Here the minimizer itself, 1 - 4.4e-162, rounds to 1.0.
+            (["bounds", "--p", "5e-324", "--q", "0.5"], "derived prevalence 1.0 falls outside (0, 1)"),
+        ],
+    )
+    def test_unrepresentable_derived_values_are_named_as_derived(self, capsys, argv, message):
+        code, out, err = capture(capsys, argv)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error_message"] == message
+
     def test_infinite_odds_ratio_names_finiteness(self, capsys):
         # The odds ratio of this risk pair overflows to inf: the message must
         # name the condition that failed, not positivity alone.
@@ -283,6 +306,39 @@ class TestEntryPoints:
         assert excinfo.value.code == 0
         capsys.readouterr()
 
+    def test_module_entry_point_prints_the_envelope(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "keplor.cli", "constants"],
+            capture_output=True,
+            env=_subprocess_env(),
+            check=True,
+        )
+        assert done.stdout == (GOLDEN / "constants.json").read_bytes()
+        assert done.stderr == b""
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_run(self, capsys):
+        # A usage error, the top-level and the leaf-level --format, then the
+        # goldens: nothing a parse sets may leak into the next run.
+        cli._parser.cache_clear()
+        code, out, err = capture(capsys, ["--format", "bogus", "constants"])
+        assert (code, out) == (2, "") and "invalid choice: 'bogus'" in err
+        code, top_text, _ = capture(capsys, ["--format", "text", "constants"])
+        assert code == 0 and top_text.startswith("command=constants\n")
+        code, leaf_text, _ = capture(
+            capsys, ["kepler", "solve", "--m", "1", "--eps", "0.5", "--format", "text"]
+        )
+        assert code == 0 and leaf_text.startswith("command=kepler solve\n")
+        for name, argv in (
+            ("constants", ["constants"]),
+            ("table", ["table", "--counts", "20,10,10,20"]),
+            ("verify", ["verify", "--samples", "1000", "--seed", "7"]),
+        ):
+            assert capture(capsys, argv) == (0, (GOLDEN / f"{name}.json").read_text(), "")
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
 
 class TestLazyNumpy:
     def test_numpy_loaded_only_by_verify(self):
@@ -299,11 +355,12 @@ class TestLazyNumpy:
             "    code = cli.run(['constants'])\n"
             "print(after_import, code, [m for m in heavy if m in sys.modules])\n"
         )
-        src = str(pathlib.Path(keplor.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            check=True,
         )
         assert done.stdout.split() == ["[]", "0", "[]"]
 

@@ -215,6 +215,13 @@ class TestConversions:
         with pytest.raises(InconsistentParams, match="derived prevalence 0.0"):
             risk_to_cohort(RiskParams(5e-324, 5e-324, 0.5))
 
+    def test_derived_risk_rounding_to_one(self):
+        # risk_exposed = 1 - 2.2e-162 rounds to 1.0; the error names it as
+        # derived, not as an input.
+        cohort = CohortParams(0.5, 5e-324, 4.445517498970155e-162)
+        with pytest.raises(InconsistentParams, match=r"^derived risk_exposed 1\.0 "):
+            cohort_to_risk(cohort)
+
     @given(probs, probs, probs)
     def test_round_trip(self, risk_exposed, risk_unexposed, exposure):
         start = RiskParams(risk_exposed, risk_unexposed, exposure)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from keplor.contingency import RiskParams
 from keplor.effect_bounds import (
     _CHUNK,
+    _check_chunk,
     bound_constants,
     bound_curve,
     bound_curve_derivative,
@@ -21,7 +22,7 @@ from keplor.effect_bounds import (
     summarize_risk,
     verify_bound,
 )
-from keplor.errors import DomainError, NonFinite
+from keplor.errors import DomainError, InconsistentParams, NonFinite
 
 # Frozen oracles: 50-digit evaluations rounded once to double.
 TANH_ROOT = 1.1996786402577337
@@ -81,6 +82,29 @@ class TestMinimizers:
         assert min_variance_prevalence(2.0 / 3.0, 1.0 / 3.0) == 0.5
         # fl(1-0.9) != fl(0.1), so the complement pair lands one ulp off.
         assert min_variance_prevalence(0.9, 0.1) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "p,q,expected",
+        [
+            # 50-digit values rounded once to double.  The direct quotient
+            # p(1-p)/(q(1-q)) overflows, so the direct form gave 0.0.
+            (0.5, 5e-324, 4.445517498970155e-162),
+            (0.5, 1e-323, 6.286911138810515e-162),
+            (0.5, 1e-310, 1.999999999999997e-155),
+        ],
+    )
+    def test_prevalence_past_the_quotient_range(self, p, q, expected):
+        assert min_variance_prevalence(p, q) == pytest.approx(expected, rel=1e-15)
+
+    def test_prevalence_next_to_one_is_named_as_derived(self):
+        # The true minimizer 1 - 4.4e-162 rounds to 1.0.
+        with pytest.raises(InconsistentParams, match=r"^derived prevalence 1\.0 "):
+            min_variance_prevalence(5e-324, 0.5)
+
+    @given(probs, probs)
+    def test_prevalence_in_range_keeps_the_direct_form(self, p, q):
+        direct = 1.0 / (1.0 + math.sqrt((p * (1.0 - p)) / (q * (1.0 - q))))
+        assert min_variance_prevalence(p, q) == direct
 
     def test_exposure_examples(self):
         assert min_variance_exposure(1.0, 1.0) == 0.5
@@ -174,6 +198,37 @@ class TestStandardizedEffect:
             standardized_effect(risks)
         with pytest.raises(NonFinite, match="underflows to 0"):
             summarize_risk(risks)
+
+    @pytest.mark.parametrize(
+        "risks,expected",
+        [
+            # 50-digit values rounded once to double.  The odds ratio, the
+            # variance factor or both overflow; the direct quotient gave nan,
+            # inf or a signed zero.
+            ((0.5, 1e-323, 0.5), 1.65316998437028e-159),
+            ((0.5, 5e-324, 0.5), 1.1700571450848582e-159),
+            ((1e-323, 0.5, 0.5), -1.65316998437028e-159),
+            ((0.9999999999999999, 1e-300, 0.5), 5.1442890085646055e-148),
+            ((0.9999999999999999, 5e-324, 1e-300), 1.7363676895894255e-159),
+            ((0.6, 0.5, 5e-324), 4.415210731852954e-163),
+            ((0.3, 0.2, 1e-310), 2.469992263923855e-156),
+        ],
+    )
+    def test_past_the_double_range(self, risks, expected):
+        assert standardized_effect(RiskParams(*risks)) == pytest.approx(
+            expected, rel=1e-15
+        )
+
+    @given(probs, probs, probs)
+    def test_in_range_keeps_the_direct_quotient(self, risk_exposed, risk_unexposed, exposure):
+        risks = RiskParams(risk_exposed, risk_unexposed, exposure)
+        odds_ratio = (risk_exposed / (1.0 - risk_exposed)) / (
+            risk_unexposed / (1.0 - risk_unexposed)
+        )
+        direct = math.log(odds_ratio) / math.sqrt(
+            sigma2_by_exposure(exposure, risk_exposed, risk_unexposed)
+        )
+        assert standardized_effect(risks) == direct
 
     def test_summary_bundles_consistently(self):
         risks = RiskParams(0.5, 0.2, 0.35)
@@ -361,3 +416,84 @@ class TestVerifyBound:
     def test_domain(self, samples, seed):
         with pytest.raises(DomainError):
             verify_bound(samples, seed)
+
+
+def _expression_chunk(points, llc):
+    """The chunk check as plain numpy expressions, one temporary per step:
+    the form the buffered kernel must match bit for bit."""
+    np.clip(points, 1e-12, 1.0 - 1e-12, out=points)
+    risk_exposed = points[:, 0]
+    risk_unexposed = points[:, 1]
+    exposure = points[:, 2]
+    log_odds = (np.log(risk_exposed) - np.log1p(-risk_exposed)) - (
+        np.log(risk_unexposed) - np.log1p(-risk_unexposed)
+    )
+    sigma2 = 1.0 / (exposure * risk_exposed * (1.0 - risk_exposed)) + 1.0 / (
+        (1.0 - exposure) * risk_unexposed * (1.0 - risk_unexposed)
+    )
+    gamma_abs = np.abs(log_odds / np.sqrt(sigma2))
+    quarter = np.abs(log_odds) / 4.0
+    per_or_bound = quarter / np.cosh(quarter)
+    violations = (gamma_abs > per_or_bound + 1e-12) | (gamma_abs > llc + 1e-12)
+    top = int(np.argmax(gamma_abs))
+    return int(np.count_nonzero(violations)), top, float(gamma_abs[top])
+
+
+def _mixed_chunk(rng, rows, split):
+    """`split` uniform rows, then Gaussian rows around the attainment point."""
+    peak = bound_constants().peak_risk
+    points = np.empty((rows, 3))
+    points[:split] = rng.random((split, 3))
+    points[split:] = rng.normal(0.0, 0.02, (rows - split, 3)) + [peak, 1.0 - peak, 0.5]
+    return points
+
+
+_EDGES = [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, -0.25, 1.5]
+_EDGE_ROWS = np.array([[a, b, c] for a in _EDGES for b in _EDGES for c in _EDGES])
+
+
+class TestCheckChunk:
+    # Buffers with more rows than any chunk below, as verify_bound's are for
+    # its last, shorter chunk.
+    ROWS = _CHUNK
+
+    def _compare(self, points, llc):
+        columns = np.empty((3, self.ROWS))
+        scratch = np.full((4, self.ROWS), np.nan)
+        expected_points = points.copy()
+        expected = _expression_chunk(expected_points, llc)
+        count, top, gamma = _check_chunk(points, llc, columns, scratch)
+        assert (count, top, gamma.hex()) == (expected[0], expected[1], expected[2].hex())
+        clipped = columns[:, : len(points)].T
+        assert [x.hex() for x in clipped[top]] == [x.hex() for x in expected_points[top]]
+        assert np.array_equal(clipped, expected_points)
+        return expected
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 1000, _CHUNK])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_random_chunks_with_both_strata(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        points = _mixed_chunk(rng, rows, rows // 2)
+        llc = bound_constants().laplace_limit
+        for limit in (llc, 0.3, 0.0):
+            self._compare(points.copy(), limit)
+
+    @pytest.mark.parametrize("split", [0, _CHUNK])
+    def test_one_stratum_chunks(self, split):
+        points = _mixed_chunk(np.random.default_rng(99), _CHUNK, split)
+        self._compare(points, bound_constants().laplace_limit)
+
+    def test_rows_at_and_past_the_clip_edges(self):
+        for limit in (bound_constants().laplace_limit, 0.3, 0.0):
+            count, _, gamma = self._compare(_EDGE_ROWS.copy(), limit)
+            assert gamma > 0.0
+        assert count > 0
+
+    def test_ties_keep_the_first_row(self):
+        rng = np.random.default_rng(12345)
+        points = _mixed_chunk(rng, 512, 256)
+        peak = bound_constants().peak_risk
+        best = [peak, 1.0 - peak, 0.5]
+        points[[17, 300, 511]] = best
+        _, top, _ = self._compare(points, bound_constants().laplace_limit)
+        assert top == 17
