@@ -15,7 +15,8 @@ import sys
 from functools import lru_cache
 from typing import Any, Callable, Optional
 
-from . import bayes_prior, contingency, effect_bounds, kepler
+# The library modules are imported inside each command that calls them, so a
+# one-shot process loads only what its subcommand uses.
 from .errors import DomainError, KeplorError
 
 __all__ = ["build_parser", "run", "main"]
@@ -75,6 +76,8 @@ def _inputs(args: argparse.Namespace) -> dict:
 
 
 def _table_results(args: argparse.Namespace) -> dict:
+    from . import contingency
+
     if args.counts is not None:
         table = contingency.TwoByTwoTable(*args.counts)
     else:
@@ -120,6 +123,8 @@ def _validate_bounds(args: argparse.Namespace) -> Optional[str]:
 
 
 def _bounds_results(args: argparse.Namespace) -> dict:
+    from . import contingency, effect_bounds
+
     if args.or_value is not None:
         odds_ratio = args.or_value
         ceiling = effect_bounds.max_standardized_effect(odds_ratio)
@@ -191,6 +196,8 @@ def _bounds_results(args: argparse.Namespace) -> dict:
 
 
 def _constants_results(args: argparse.Namespace) -> dict:
+    from . import effect_bounds, kepler
+
     constants = effect_bounds.bound_constants()
     return {
         "tanh_root": constants.tanh_root,
@@ -203,6 +210,8 @@ def _constants_results(args: argparse.Namespace) -> dict:
 
 
 def _kepler_solve_results(args: argparse.Namespace) -> dict:
+    from . import kepler
+
     solution = kepler.kepler_solve(
         kepler.KeplerProblem(args.m, args.eps), tol=args.tol
     )
@@ -218,6 +227,8 @@ def _kepler_solve_results(args: argparse.Namespace) -> dict:
 
 
 def _kepler_series_results(args: argparse.Namespace) -> dict:
+    from . import kepler
+
     solution = kepler.kepler_series(kepler.KeplerProblem(args.m, args.eps), args.order)
     return {
         "eccentric_anomaly": solution.eccentric_anomaly,
@@ -228,6 +239,8 @@ def _kepler_series_results(args: argparse.Namespace) -> dict:
 
 
 def _kepler_diverge_results(args: argparse.Namespace) -> dict:
+    from . import kepler
+
     problem = kepler.KeplerProblem(args.m, args.eps)
     newton = kepler.kepler_solve(problem, tol=args.tol).eccentric_anomaly
     sums = kepler.series_partial_sums(problem, args.max_order)
@@ -243,6 +256,8 @@ def _kepler_diverge_results(args: argparse.Namespace) -> dict:
 
 
 def _prior_flattest_results(args: argparse.Namespace) -> dict:
+    from . import bayes_prior
+
     smallest = bayes_prior.flattest_sigma(args.or_threshold)
     assumed = args.sigma if args.sigma is not None else smallest
     spec = bayes_prior.flattest_prior(args.or_threshold, args.tail_mass, assumed)
@@ -255,6 +270,8 @@ def _prior_flattest_results(args: argparse.Namespace) -> dict:
 
 
 def _prior_pathway_results(args: argparse.Namespace) -> dict:
+    from . import bayes_prior
+
     result = bayes_prior.prevalence_pathway(args.or_value, args.risk_exposed)
     return {
         "risk_unexposed": result.risk_unexposed,
@@ -265,6 +282,8 @@ def _prior_pathway_results(args: argparse.Namespace) -> dict:
 
 
 def _verify_results(args: argparse.Namespace) -> dict:
+    from . import effect_bounds
+
     report = effect_bounds.verify_bound(args.samples, args.seed)
     return {
         "samples": report.samples,
@@ -278,6 +297,8 @@ def _verify_results(args: argparse.Namespace) -> dict:
 
 
 def _pz_results(args: argparse.Namespace) -> dict:
+    from . import bayes_prior
+
     if args.p is not None:
         return {"z": bayes_prior.p_to_z(args.p)}
     return {"p": bayes_prior.z_to_p(args.z)}

@@ -11,6 +11,7 @@ count estimators and the Bayes maps between the two parameterizations.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError, InconsistentParams, NonFinite, ZeroCell, ZeroMargin, _Record
@@ -148,7 +149,15 @@ class EffectSummary(_Record):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.log_odds != math.log(self.odds_ratio):
+        log_or = math.log(self.odds_ratio)
+        if self.odds_ratio < sys.float_info.min:
+            # log_odds comes from the risks, and a subnormal odds ratio is off
+            # from the true one by up to half a step of 2**-1074; the 1e-12
+            # covers the few ulps of the logit difference.
+            consistent = abs(self.log_odds - log_or) <= math.ulp(0.0) / self.odds_ratio + 1e-12
+        else:
+            consistent = self.log_odds == log_or
+        if not consistent:
             raise DomainError("log_odds must equal log(odds_ratio) by construction")
         if self.standardized != self.log_odds / self.sigma:
             raise DomainError("standardized must equal log_odds/sigma by construction")

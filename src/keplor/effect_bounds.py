@@ -15,6 +15,7 @@ only numpy user in the package and imports numpy on its first call.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .contingency import (
@@ -173,23 +174,33 @@ def standardized_effect(risk: RiskParams) -> float:
     Where the odds ratio or the variance factor overflows, the quotient is
     evaluated in a scaled form instead of giving nan or 0.
     """
-    log_odds = _log_odds(odds_and_risk_ratio(risk).odds_ratio)
+    odds_ratio = odds_and_risk_ratio(risk).odds_ratio
+    log_odds = _risk_log_odds(risk, odds_ratio)
     sigma2 = sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
-    if math.isinf(log_odds) or math.isinf(sigma2):
+    if math.isinf(odds_ratio) or math.isinf(sigma2):
         return _scaled_standardized_effect(log_odds, risk)
     return log_odds / math.sqrt(sigma2)
+
+
+def _risk_log_odds(risk: RiskParams, odds_ratio: float) -> float:
+    """ln(odds_ratio) of a risk pair.
+
+    Where the odds ratio overflowed or is subnormal, so that it keeps no or
+    only a few significant bits, the log is the difference of the logits.
+    """
+    if math.isinf(odds_ratio) or 0.0 < odds_ratio < sys.float_info.min:
+        re_, ru = risk.risk_exposed, risk.risk_unexposed
+        return (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
+    return _log_odds(odds_ratio)
 
 
 def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
     """standardized_effect past the double range.
 
-    An infinite ln(or) is retaken as a difference of logits, and each product
-    in the variance factor is held as a mantissa times a power of two, which
-    scales exactly.
+    Each product in the variance factor is held as a mantissa times a power
+    of two, which scales exactly.
     """
     re_, ru, v = risk.risk_exposed, risk.risk_unexposed, risk.exposure
-    if math.isinf(log_odds):
-        log_odds = (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
     reciprocals = []
     for factors in ((v, re_, 1.0 - re_), (1.0 - v, ru, 1.0 - ru)):
         mantissa, exponent = 1.0, 0
@@ -208,7 +219,7 @@ def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
 def summarize_risk(risk: RiskParams) -> EffectSummary:
     """Bundle the effect measures implied by a risk triple."""
     ratios = odds_and_risk_ratio(risk)
-    log_odds = _log_odds(ratios.odds_ratio)
+    log_odds = _risk_log_odds(risk, ratios.odds_ratio)
     sigma = math.sqrt(
         sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
     )

@@ -181,14 +181,16 @@ def normal_quantile(p: float) -> float:
     """Inverse of normal_cdf on (0, 1).
 
     Acklam's rational approximation refined by one Newton step on normal_cdf;
-    absolute error below 1e-9 across the open unit interval.
+    absolute error below 1e-9 across the open unit interval.  Above 1/2 it
+    returns -normal_quantile(1 - p): 1 - p is exact there (Sterbenz), while
+    the Newton step would subtract p from a cdf value next to 1.
     """
     if math.isnan(p) or not 0.0 < p < 1.0:
         raise DomainError(f"normal_quantile requires 0 < p < 1, got {p!r}")
+    if p > 0.5:
+        return -normal_quantile(1.0 - p)
     if p < _Q_TAIL:
         x = _quantile_tail(math.sqrt(-2.0 * math.log(p)))
-    elif p > 1.0 - _Q_TAIL:
-        x = -_quantile_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
     else:
         a0, a1, a2, a3, a4, a5 = _QA
         b0, b1, b2, b3, b4 = _QB

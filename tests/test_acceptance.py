@@ -228,7 +228,7 @@ def test_criterion_09_prior_arithmetic():
         f"|diff to 0.114339|={abs(spec.prior_variance - 0.114339):.3e}"
     )
     assert abs(spec.prior_variance - 0.114339) < 1e-5
-    assert spec.prior_variance == pytest.approx(oracle, rel=1e-12)
+    assert spec.prior_variance == pytest.approx(oracle, rel=1e-12, abs=0)
 
     quartered = 0
     for scale in [0.1, 0.5, 1.0, 2.0, 7.25, 100.0]:

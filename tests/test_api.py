@@ -1,5 +1,10 @@
 """The package exports each public name once, from its home module."""
 
+import subprocess
+import sys
+
+import pytest
+
 import keplor
 from keplor import bayes_prior, contingency, effect_bounds, errors, kepler, numerics
 
@@ -82,3 +87,41 @@ def test_each_name_is_its_home_module_object():
             value = getattr(module, name)
             assert getattr(keplor, name) is value
             assert getattr(value, "__module__", module.__name__) == module.__name__
+
+
+def test_dir_covers_all():
+    assert set(keplor.__all__) <= set(dir(keplor))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from keplor import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 57
+    assert sorted(namespace) == PUBLIC_NAMES
+
+
+def test_submodule_attribute_after_importing_the_cli(subprocess_env):
+    # The CLI binds no library module into the package; the namespace loads
+    # the one asked for, and nothing else.
+    probe = (
+        "import sys\n"
+        "import keplor.cli\n"
+        "numerics = keplor.numerics\n"
+        "print(numerics is sys.modules['keplor.numerics'], "
+        "*sorted(m for m in sys.modules if m.startswith('keplor')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        check=True,
+    )
+    assert done.stdout.split() == ["True", "keplor", "keplor.cli", "keplor.errors", "keplor.numerics"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'keplor' has no attribute 'no_such_name'"):
+        keplor.no_such_name
+    assert not hasattr(keplor, "no_such_name")

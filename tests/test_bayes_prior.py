@@ -40,10 +40,10 @@ class TestQuantileBridge:
         assert abs(z_to_p(1.959964) - 0.025) < 1e-8
 
     def test_upper_tail_frozen(self):
-        assert z_to_p(8.0) == pytest.approx(P_AT_Z8, rel=1e-13)
-        assert z_to_p(10.0) == pytest.approx(P_AT_Z10, rel=1e-13)
-        assert p_to_z(1e-16) == pytest.approx(Z_AT_P1E16, rel=1e-14)
-        assert p_to_z(1e-17) == pytest.approx(Z_AT_P1E17, rel=1e-14)
+        assert z_to_p(8.0) == pytest.approx(P_AT_Z8, rel=1e-13, abs=0)
+        assert z_to_p(10.0) == pytest.approx(P_AT_Z10, rel=1e-13, abs=0)
+        assert p_to_z(1e-16) == pytest.approx(Z_AT_P1E16, rel=1e-14, abs=0)
+        assert p_to_z(1e-17) == pytest.approx(Z_AT_P1E17, rel=1e-14, abs=0)
 
     def test_center_is_positive_zero(self):
         assert math.copysign(1.0, p_to_z(0.5)) == 1.0
@@ -63,14 +63,14 @@ class TestFlattestPrior:
         llc = bound_constants().laplace_limit
         spec = flattest_prior(2.0, 0.025, math.log(2.0) / llc)
         ratio = llc / Q975
-        assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-12)
+        assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-12, abs=0)
         assert abs(math.sqrt(spec.prior_variance) - 0.338141) < 1e-6
         assert abs(spec.assumed_sigma - LN2_OVER_LLC) < 1e-12
 
     def test_far_tail_mass(self):
         spec = flattest_prior(2.0, 1e-17, 1.0)
         ratio = math.log(2.0) / Z_AT_P1E17
-        assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-13)
+        assert spec.prior_variance == pytest.approx(ratio * ratio, rel=1e-13, abs=0)
 
     def test_unit_variance_calibration(self):
         # Threshold e, sigma 1, mass set so the quantile is exactly 1.
@@ -123,13 +123,13 @@ class TestPrevalencePathway:
         result = prevalence_pathway(4.0, 0.5)
         assert result.risk_unexposed == 0.2
         assert result.risk_ratio == 2.5
-        assert result.prevalence == pytest.approx(14.0 / 27.0, rel=1e-12)
-        assert result.sigma * result.sigma == pytest.approx(18.225, rel=1e-12)
+        assert result.prevalence == pytest.approx(14.0 / 27.0, rel=1e-12, abs=0)
+        assert result.sigma * result.sigma == pytest.approx(18.225, rel=1e-12, abs=0)
         assert abs(result.sigma - 4.2690748412273125) < 1e-12
 
     def test_balanced_risks(self):
         result = prevalence_pathway(4.0, 2.0 / 3.0)
-        assert result.risk_unexposed == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert result.risk_unexposed == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0)
         assert result.prevalence == pytest.approx(0.5, abs=1e-15)
         assert abs(result.sigma - SQRT_18) < 1e-13
 
@@ -147,7 +147,7 @@ class TestPrevalencePathway:
         odds_unexposed = result.risk_unexposed / (1.0 - result.risk_unexposed)
         assert odds_exposed / odds_unexposed == pytest.approx(odds_ratio, rel=1e-12)
         assert result.risk_ratio == pytest.approx(
-            risk_exposed / result.risk_unexposed, rel=1e-12
+            risk_exposed / result.risk_unexposed, rel=1e-12, abs=0
         )
 
     @given(st.floats(0.01, 6.0), st.floats(0.05, 0.95))

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -10,19 +9,11 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-import keplor
 from keplor import cli
 from keplor.cli import build_parser, main, run
 from keplor.kepler import KeplerProblem, kepler_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def _subprocess_env():
-    """The environment with this test run's keplor first on PYTHONPATH."""
-    src = str(pathlib.Path(keplor.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def capture(capsys, argv):
@@ -93,7 +84,7 @@ class TestFormats:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["assumed_sigma"] == results["flattest_sigma"]
-        assert results["assumed_sigma"] == pytest.approx(4.060207060512871, rel=1e-12)
+        assert results["assumed_sigma"] == pytest.approx(4.060207060512871, rel=1e-12, abs=0)
 
 
 class TestTableFileMode:
@@ -217,7 +208,7 @@ class TestSpotValues:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["max_standardized_effect"] == pytest.approx(
-            math.log(4.0) / math.sqrt(18.0), rel=1e-12
+            math.log(4.0) / math.sqrt(18.0), rel=1e-12, abs=0
         )
 
     def test_kepler_series_spot(self, capsys):
@@ -268,12 +259,14 @@ class TestSpotValues:
         # Far upper tails, where going through 1 - x rounds to 0 or 1.
         code, out, _ = capture(capsys, ["pz", "--z", "10"])
         assert code == 0
-        assert json.loads(out)["results"]["p"] == pytest.approx(7.619853024160525e-24, rel=1e-13)
+        assert json.loads(out)["results"]["p"] == pytest.approx(
+            7.619853024160525e-24, rel=1e-13, abs=0
+        )
         argv = ["prior", "flattest", "--or-threshold", "2", "--tail-mass", "1e-17"]
         code, out, _ = capture(capsys, argv)
         assert code == 0
         results = json.loads(out)["results"]
-        assert results["tail_quantile"] == pytest.approx(8.493793224109599, rel=1e-14)
+        assert results["tail_quantile"] == pytest.approx(8.493793224109599, rel=1e-14, abs=0)
 
     def test_overflowing_odds_ratio_stays_ok(self, capsys):
         code, out, _ = capture(capsys, ["table", "--counts", f"{10**200},1,1,{10**200}"])
@@ -287,7 +280,7 @@ class TestSpotValues:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["risk_unexposed"] == 0.2
-        assert results["sigma"] == pytest.approx(4.2690748412273125, rel=1e-12)
+        assert results["sigma"] == pytest.approx(4.2690748412273125, rel=1e-12, abs=0)
 
 
 class TestEntryPoints:
@@ -306,11 +299,11 @@ class TestEntryPoints:
         assert excinfo.value.code == 0
         capsys.readouterr()
 
-    def test_module_entry_point_prints_the_envelope(self):
+    def test_module_entry_point_prints_the_envelope(self, subprocess_env):
         done = subprocess.run(
             [sys.executable, "-m", "keplor.cli", "constants"],
             capture_output=True,
-            env=_subprocess_env(),
+            env=subprocess_env,
             check=True,
         )
         assert done.stdout == (GOLDEN / "constants.json").read_bytes()
@@ -340,8 +333,53 @@ class TestParserReuse:
         assert (info.misses, info.hits) == (1, 5)
 
 
+# The library modules each subcommand loads, besides keplor and keplor.cli.
+_BOUNDS_MODULES = ["contingency", "effect_bounds", "errors", "kepler", "numerics"]
+_KEPLER_MODULES = ["errors", "kepler", "numerics"]
+
+
 class TestLazyNumpy:
-    def test_numpy_loaded_only_by_verify(self):
+    @pytest.mark.parametrize(
+        "command,code,loaded",
+        [
+            ("table --counts 1,2,3,4", 0, ["contingency", "errors"]),
+            ("kepler solve --m 1 --eps 0.5", 0, _KEPLER_MODULES),
+            ("kepler series --m 1 --eps 0.5 --order 3", 0, _KEPLER_MODULES),
+            ("kepler diverge-table --m 1 --eps 0.5 --max-order 3", 0, _KEPLER_MODULES),
+            ("constants", 0, _BOUNDS_MODULES),
+            ("bounds --or 4", 0, _BOUNDS_MODULES),
+            ("prior flattest --or-threshold 2 --tail-mass 0.05", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("prior wm-pathway --or 2 --risk-exposed 0.1", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("pz --p 0.05", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("verify --samples 10 --seed 1", 0, [*_BOUNDS_MODULES, "numpy"]),
+            ("bogus", 2, ["errors"]),
+        ],
+    )
+    def test_each_command_loads_only_what_it_uses(self, subprocess_env, command, code, loaded):
+        # The entry point as installed, in a fresh process: the package
+        # namespace is lazy and each command imports its own modules.
+        probe = (
+            "import contextlib, io, sys\n"
+            "from keplor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        main()\n"
+            "    except SystemExit as exit:\n"
+            "        code = exit.code\n"
+            "names = [m for m in sys.modules if m == 'numpy' or m.startswith('keplor.')]\n"
+            "print(code, *sorted(name.removeprefix('keplor.') for name in names))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *command.split()],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+            check=True,
+        )
+        assert done.stdout.split() == [str(code), *sorted(["cli", *loaded])]
+
+    def test_numpy_loaded_only_by_verify(self, subprocess_env):
         # Only verify needs numpy; importing the package or running another
         # subcommand must not pay for loading it, nor for the record and
         # rational-number machinery the package no longer uses.
@@ -359,7 +397,7 @@ class TestLazyNumpy:
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env=_subprocess_env(),
+            env=subprocess_env,
             check=True,
         )
         assert done.stdout.split() == ["[]", "0", "[]"]

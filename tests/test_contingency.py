@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +107,24 @@ class TestEstimators:
         with pytest.raises(NonFinite, match="underflows to 0"):
             estimate_odds_ratio(TwoByTwoTable(2, 10**200, 10**200, 1000))
 
+    @pytest.mark.parametrize(
+        "counts,expected",
+        [
+            # 50-digit values rounded once to double.  A table's odds ratio
+            # can only be subnormal near the top of that range (the
+            # denominator is at most the largest double), where the quotient
+            # still holds 48 or more bits, so its log is correctly rounded; a
+            # sum of the cells' logs would be an ulp off on these.
+            ((1, 10**154, 10**154, 1), -709.1962086421661),
+            ((1, 31 * 10**152, 153 * 10**152, 1), -708.4502933960674),
+            ((1, 45 * 10**152, 186 * 10**152, 1), -709.0182774336735),
+        ],
+    )
+    def test_subnormal_odds_ratio_keeps_its_log(self, counts, expected):
+        estimate = estimate_odds_ratio(TwoByTwoTable(*counts))
+        assert 0.0 < estimate.odds_ratio < sys.float_info.min
+        assert estimate.log_odds == expected
+
     def test_corrected_odds_ratio(self):
         estimate = estimate_odds_ratio(TwoByTwoTable(10, 0, 5, 5), correction=True)
         assert estimate.odds_ratio == pytest.approx(21.0, abs=1e-12)
@@ -116,7 +135,7 @@ class TestEstimators:
         p, q, _, _ = estimate_proportions(table)
         odds_form = (p / (1.0 - p)) / (q / (1.0 - q))
         assert estimate_odds_ratio(table).odds_ratio == pytest.approx(
-            odds_form, rel=1e-12
+            odds_form, rel=1e-12, abs=0
         )
 
     def test_t_examples(self):
@@ -131,7 +150,7 @@ class TestEstimators:
     def test_corrected_t(self):
         t = t_statistic(TwoByTwoTable(10, 0, 5, 5), correction=True)
         expected = math.log(21.0) / math.sqrt(1 / 10.5 + 1 / 0.5 + 1 / 5.5 + 1 / 5.5)
-        assert t == pytest.approx(expected, rel=1e-12)
+        assert t == pytest.approx(expected, rel=1e-12, abs=0)
 
     @given(positive_tables)
     def test_t_dual_form(self, table):
@@ -226,9 +245,9 @@ class TestConversions:
     def test_round_trip(self, risk_exposed, risk_unexposed, exposure):
         start = RiskParams(risk_exposed, risk_unexposed, exposure)
         back = cohort_to_risk(risk_to_cohort(start))
-        assert back.risk_exposed == pytest.approx(start.risk_exposed, rel=1e-12)
-        assert back.risk_unexposed == pytest.approx(start.risk_unexposed, rel=1e-12)
-        assert back.exposure == pytest.approx(start.exposure, rel=1e-12)
+        assert back.risk_exposed == pytest.approx(start.risk_exposed, rel=1e-12, abs=0)
+        assert back.risk_unexposed == pytest.approx(start.risk_unexposed, rel=1e-12, abs=0)
+        assert back.exposure == pytest.approx(start.exposure, rel=1e-12, abs=0)
 
     def test_ratio_examples(self):
         assert odds_and_risk_ratio(RiskParams(0.5, 0.2, 0.7)) == (4.0, 2.5)

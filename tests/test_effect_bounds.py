@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestMinimizers:
         ],
     )
     def test_prevalence_past_the_quotient_range(self, p, q, expected):
-        assert min_variance_prevalence(p, q) == pytest.approx(expected, rel=1e-15)
+        assert min_variance_prevalence(p, q) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_prevalence_next_to_one_is_named_as_derived(self):
         # The true minimizer 1 - 4.4e-162 rounds to 1.0.
@@ -170,7 +171,7 @@ class TestOptimalRisk:
         risks = optimal_risk(odds_ratio)
         assert risks.risk_exposed == 1.0 - risks.risk_unexposed
         risk_ratio = risks.risk_exposed / risks.risk_unexposed
-        assert risk_ratio * risk_ratio == pytest.approx(odds_ratio, rel=1e-12)
+        assert risk_ratio * risk_ratio == pytest.approx(odds_ratio, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -185,7 +186,7 @@ class TestStandardizedEffect:
 
     def test_example(self):
         value = standardized_effect(RiskParams(2.0 / 3.0, 1.0 / 3.0, 0.5))
-        assert value == pytest.approx(math.log(4.0) / math.sqrt(18.0), rel=1e-14)
+        assert value == pytest.approx(math.log(4.0) / math.sqrt(18.0), rel=1e-14, abs=0)
         assert abs(value - 0.326753) < 1e-6
 
     def test_near_peak(self):
@@ -216,8 +217,27 @@ class TestStandardizedEffect:
     )
     def test_past_the_double_range(self, risks, expected):
         assert standardized_effect(RiskParams(*risks)) == pytest.approx(
-            expected, rel=1e-15
+            expected, rel=1e-15, abs=0
         )
+
+    @pytest.mark.parametrize(
+        "risks,log_odds,expected",
+        [
+            # 50-digit values rounded once to double.  The odds ratio is
+            # subnormal, so its log from the quotient was off by 1e-11 to 5e-4.
+            ((1e-300, 0.9999999999999999, 0.3), -727.5123284678908, -3.984749131649716e-148),
+            ((1e-300, 0.9999999999999998, 0.9), -726.8191812873308, -6.895212179900393e-148),
+            ((1e-307, 0.9999999999999, 0.5), -736.8269188612406, -1.647595078225456e-151),
+            ((3e-308, 0.9999999999999999, 0.5), -744.8343969231751, -9.122321076677059e-152),
+        ],
+    )
+    def test_subnormal_odds_ratio(self, risks, log_odds, expected):
+        risk = RiskParams(*risks)
+        summary = summarize_risk(risk)
+        assert 0.0 < summary.odds_ratio < sys.float_info.min
+        assert summary.log_odds == pytest.approx(log_odds, rel=1e-15, abs=0)
+        assert standardized_effect(risk) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert summary.standardized == standardized_effect(risk)
 
     @given(probs, probs, probs)
     def test_in_range_keeps_the_direct_quotient(self, risk_exposed, risk_unexposed, exposure):
@@ -264,7 +284,7 @@ class TestBoundCurve:
 
     def test_overflow_guard(self):
         # 2*(x/4)*exp(-x/4) once cosh would overflow; frozen 50-digit value.
-        assert bound_curve(2000.0) == pytest.approx(7.124576406741286e-215, rel=1e-12)
+        assert bound_curve(2000.0) == pytest.approx(7.124576406741286e-215, rel=1e-12, abs=0)
         assert bound_curve(4000.0) == 0.0
         assert bound_curve(-4000.0) == 0.0
         assert bound_curve_derivative(1e308) == 0.0
@@ -304,7 +324,7 @@ class TestMaxStandardizedEffect:
 
     def test_example_at_four(self):
         assert max_standardized_effect(4.0) == pytest.approx(
-            math.log(4.0) / math.sqrt(18.0), rel=1e-13
+            math.log(4.0) / math.sqrt(18.0), rel=1e-13, abs=0
         )
 
     @given(log_ors)

@@ -134,6 +134,20 @@ class TestNormalQuantile:
         assert abs(normal_quantile(0.999) - Q999) < 1e-9
         assert abs(normal_quantile(0.7) - Q70) < 1e-9
 
+    @pytest.mark.parametrize(
+        "p,expected",
+        [
+            # 50-digit values rounded once to double.  Newton's step on
+            # normal_cdf(x) - p next to 1 lost 3e-15 to 1.1e-9 of these.
+            (0.999, 3.090232306167813),
+            (1.0 - 1e-6, 4.753424308817087),
+            (1.0 - 1e-10, 6.361340889697422),
+            (1.0 - 1e-13, 7.3487545403000425),
+        ],
+    )
+    def test_upper_tail_relative_accuracy(self, p, expected):
+        assert normal_quantile(p) == pytest.approx(expected, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_domain(self, p):
         with pytest.raises(DomainError):
