@@ -13,13 +13,17 @@ import json
 import math
 import sys
 from functools import lru_cache
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 # The library modules are imported inside each command that calls them, so a
 # one-shot process loads only what its subcommand uses.
 from .errors import DomainError, KeplorError
 
 __all__ = ["build_parser", "run", "main"]
+
+
+class _UsageError(Exception):
+    """An option combination argparse cannot express: exit 2, no envelope."""
 
 
 def _counts_argument(text: str) -> tuple[int, int, int, int]:
@@ -51,15 +55,7 @@ def _add_format(parser: argparse.ArgumentParser, top_level: bool = False) -> Non
 
 # Namespace attributes that route a command rather than carry its inputs.
 _ROUTING = frozenset(
-    {
-        "format",
-        "command",
-        "kepler_command",
-        "prior_command",
-        "command_name",
-        "results_fn",
-        "validate_fn",
-    }
+    {"format", "command", "kepler_command", "prior_command", "handler"}
 )
 
 
@@ -84,48 +80,41 @@ def _table_results(args: argparse.Namespace) -> dict:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 content = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read table file {args.file!r}: {exc}") from exc
         table = contingency.TwoByTwoTable.from_text(content.strip())
-    proportions = contingency.estimate_proportions(table)
-    estimate = contingency.estimate_odds_ratio(table, args.correction)
     return {
-        "exposure_cases": proportions.exposure_cases,
-        "exposure_controls": proportions.exposure_controls,
-        "case_fraction": proportions.case_fraction,
-        "total": proportions.total,
-        "odds_ratio": estimate.odds_ratio,
-        "log_odds": estimate.log_odds,
+        **contingency.estimate_proportions(table)._asdict(),
+        **contingency.estimate_odds_ratio(table, args.correction)._asdict(),
         "t_statistic": contingency.t_statistic(table, args.correction),
     }
 
 
-def _validate_bounds(args: argparse.Namespace) -> Optional[str]:
+def _bounds_results(args: argparse.Namespace) -> dict:
+    # The input mode is checked first, so a usage error loads no library module.
     or_mode = args.or_value is not None
     pq_mode = args.p is not None or args.q is not None
     risk_mode = args.risk_exposed is not None or args.risk_unexposed is not None
     if int(or_mode) + int(pq_mode) + int(risk_mode) != 1:
-        return (
+        raise _UsageError(
             "choose exactly one input mode: --or, --p/--q, or "
             "--risk-exposed/--risk-unexposed"
         )
     if pq_mode and (args.p is None or args.q is None):
-        return "--p and --q must be given together"
+        raise _UsageError("--p and --q must be given together")
     if risk_mode and (args.risk_exposed is None or args.risk_unexposed is None):
-        return "--risk-exposed and --risk-unexposed must be given together"
+        raise _UsageError("--risk-exposed and --risk-unexposed must be given together")
     if args.rr is not None and not or_mode:
-        return "--rr applies only with --or"
+        raise _UsageError("--rr applies only with --or")
     if args.prevalence is not None and not pq_mode:
-        return "--prevalence applies only with --p/--q"
+        raise _UsageError("--prevalence applies only with --p/--q")
     if args.exposure is not None and not risk_mode:
-        return "--exposure applies only with --risk-exposed/--risk-unexposed"
-    return None
-
-
-def _bounds_results(args: argparse.Namespace) -> dict:
+        raise _UsageError(
+            "--exposure applies only with --risk-exposed/--risk-unexposed"
+        )
     from . import contingency, effect_bounds
 
-    if args.or_value is not None:
+    if or_mode:
         odds_ratio = args.or_value
         ceiling = effect_bounds.max_standardized_effect(odds_ratio)
         log_odds = math.log(odds_ratio)
@@ -135,16 +124,14 @@ def _bounds_results(args: argparse.Namespace) -> dict:
             "max_standardized_effect": ceiling,
             "bound_curve": effect_bounds.bound_curve(log_odds),
             "bound_curve_derivative": effect_bounds.bound_curve_derivative(log_odds),
-            "optimal_risk_exposed": optimum.risk_exposed,
-            "optimal_risk_unexposed": optimum.risk_unexposed,
-            "optimal_exposure": optimum.exposure,
+            **{f"optimal_{name}": value for name, value in vars(optimum).items()},
         }
         if args.rr is not None:
             results["min_variance_exposure"] = effect_bounds.min_variance_exposure(
                 args.rr, odds_ratio
             )
         return results
-    if args.p is not None:
+    if pq_mode:
         p, q = args.p, args.q
         for name, value in (("p", p), ("q", q)):
             if not 0.0 < value < 1.0:
@@ -165,9 +152,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
                 effect_bounds.sigma2_by_prevalence(w_min, p, q)
             ),
             "prevalence_used": prevalence,
-            "risk_exposed": risks.risk_exposed,
-            "risk_unexposed": risks.risk_unexposed,
-            "exposure": risks.exposure,
+            **vars(risks),
             "standardized_effect": effect_bounds.standardized_effect(risks),
         }
     exposure = args.exposure if args.exposure is not None else 0.5
@@ -183,9 +168,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         "log_odds": summary.log_odds,
         "sigma": summary.sigma,
         "standardized_effect": summary.standardized,
-        "exposure_cases": cohort.exposure_cases,
-        "exposure_controls": cohort.exposure_controls,
-        "prevalence": cohort.prevalence,
+        **vars(cohort),
         "min_variance_exposure": v_min,
         "sigma_at_min": math.sqrt(
             effect_bounds.sigma2_by_exposure(
@@ -199,14 +182,7 @@ def _constants_results(args: argparse.Namespace) -> dict:
     from . import effect_bounds, kepler
 
     constants = effect_bounds.bound_constants()
-    return {
-        "tanh_root": constants.tanh_root,
-        "peak_log_or": constants.peak_log_or,
-        "peak_or": constants.peak_or,
-        "laplace_limit": constants.laplace_limit,
-        "peak_risk": constants.peak_risk,
-        "series_radius": kepler.series_radius(),
-    }
+    return {**vars(constants), "series_radius": kepler.series_radius()}
 
 
 def _kepler_solve_results(args: argparse.Namespace) -> dict:
@@ -272,13 +248,7 @@ def _prior_flattest_results(args: argparse.Namespace) -> dict:
 def _prior_pathway_results(args: argparse.Namespace) -> dict:
     from . import bayes_prior
 
-    result = bayes_prior.prevalence_pathway(args.or_value, args.risk_exposed)
-    return {
-        "risk_unexposed": result.risk_unexposed,
-        "risk_ratio": result.risk_ratio,
-        "prevalence": result.prevalence,
-        "sigma": result.sigma,
-    }
+    return bayes_prior.prevalence_pathway(args.or_value, args.risk_exposed)._asdict()
 
 
 def _verify_results(args: argparse.Namespace) -> dict:
@@ -290,9 +260,7 @@ def _verify_results(args: argparse.Namespace) -> dict:
         "violations": report.violations,
         "max_gamma_observed": report.max_gamma_observed,
         "bound": report.bound,
-        "argmax_risk_exposed": report.arg_max.risk_exposed,
-        "argmax_risk_unexposed": report.arg_max.risk_unexposed,
-        "argmax_exposure": report.arg_max.exposure,
+        **{f"argmax_{name}": value for name, value in vars(report.arg_max).items()},
     }
 
 
@@ -314,21 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(parser, top_level=True)
     subparsers = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    def register(
-        sub: argparse.ArgumentParser,
-        name: str,
-        results_fn: Callable[[argparse.Namespace], dict],
-        validate_fn: Optional[Callable[[argparse.Namespace], Optional[str]]] = None,
-    ) -> None:
-        _add_format(sub)
-        sub.set_defaults(
-            command_name=name,
-            results_fn=results_fn,
-            validate_fn=validate_fn,
-        )
+    def leaf(group, command: str, results, help: str) -> argparse.ArgumentParser:
+        """Add the leaf parser of `command` and route it to `results`."""
+        sub = group.add_parser(command.split()[-1], help=help)
+        sub.set_defaults(handler=(command, results))
+        leaves.append(sub)
+        return sub
 
-    table = subparsers.add_parser("table", help="2x2 table estimators")
+    table = leaf(subparsers, "table", _table_results, "2x2 table estimators")
     source = table.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--counts",
@@ -341,10 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add 0.5 to every cell before estimating",
     )
-    register(table, "table", _table_results)
 
-    bounds = subparsers.add_parser(
-        "bounds", help="standardized-effect ceiling and variance minimizers"
+    bounds = leaf(
+        subparsers,
+        "bounds",
+        _bounds_results,
+        "standardized-effect ceiling and variance minimizers",
     )
     bounds.add_argument("--or", dest="or_value", type=float, help="odds ratio")
     bounds.add_argument(
@@ -362,44 +327,51 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument(
         "--exposure", type=float, help="pooled exposure (with the risk pair)"
     )
-    register(bounds, "bounds", _bounds_results, _validate_bounds)
 
-    constants = subparsers.add_parser(
-        "constants", help="attainment constants and the series radius"
+    leaf(
+        subparsers,
+        "constants",
+        _constants_results,
+        "attainment constants and the series radius",
     )
-    register(constants, "constants", _constants_results)
 
     kepler_parser = subparsers.add_parser("kepler", help="Kepler-equation tools")
     kepler_sub = kepler_parser.add_subparsers(dest="kepler_command", required=True)
-
-    solve = kepler_sub.add_parser("solve", help="Newton solve of M = E - eps*sin(E)")
-    solve.add_argument("--m", type=float, required=True, help="mean anomaly (radians)")
-    solve.add_argument("--eps", type=float, required=True, help="eccentricity")
-    solve.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
-    register(solve, "kepler solve", _kepler_solve_results)
-
-    series = kepler_sub.add_parser("series", help="eccentricity power series")
-    series.add_argument("--m", type=float, required=True, help="mean anomaly (radians)")
-    series.add_argument("--eps", type=float, required=True, help="eccentricity")
-    series.add_argument("--order", type=int, required=True, help="truncation order")
-    register(series, "kepler series", _kepler_series_results)
-
-    diverge = kepler_sub.add_parser(
-        "diverge-table", help="series error against Newton, order by order"
+    solve = leaf(
+        kepler_sub,
+        "kepler solve",
+        _kepler_solve_results,
+        "Newton solve of M = E - eps*sin(E)",
     )
-    diverge.add_argument("--m", type=float, required=True, help="mean anomaly (radians)")
-    diverge.add_argument("--eps", type=float, required=True, help="eccentricity")
+    series = leaf(
+        kepler_sub, "kepler series", _kepler_series_results, "eccentricity power series"
+    )
+    diverge = leaf(
+        kepler_sub,
+        "kepler diverge-table",
+        _kepler_diverge_results,
+        "series error against Newton, order by order",
+    )
+    for sub in (solve, series, diverge):
+        sub.add_argument(
+            "--m", type=float, required=True, help="mean anomaly (radians)"
+        )
+        sub.add_argument("--eps", type=float, required=True, help="eccentricity")
+    solve.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
+    series.add_argument("--order", type=int, required=True, help="truncation order")
     diverge.add_argument(
         "--max-order", type=int, required=True, help="largest order to tabulate"
     )
     diverge.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
-    register(diverge, "kepler diverge-table", _kepler_diverge_results)
 
     prior = subparsers.add_parser("prior", help="prior-specification helpers")
     prior_sub = prior.add_subparsers(dest="prior_command", required=True)
 
-    flattest = prior_sub.add_parser(
-        "flattest", help="flattest prior variance from a tail statement"
+    flattest = leaf(
+        prior_sub,
+        "prior flattest",
+        _prior_flattest_results,
+        "flattest prior variance from a tail statement",
     )
     flattest.add_argument(
         "--or-threshold", type=float, required=True, help="odds-ratio threshold (> 1)"
@@ -415,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="assumed sigma (default: the smallest attainable one)",
     )
-    register(flattest, "prior flattest", _prior_flattest_results)
 
-    pathway = prior_sub.add_parser(
-        "wm-pathway", help="sigma at the variance-minimizing prevalence"
+    pathway = leaf(
+        prior_sub,
+        "prior wm-pathway",
+        _prior_pathway_results,
+        "sigma at the variance-minimizing prevalence",
     )
     pathway.add_argument(
         "--or", dest="or_value", type=float, required=True, help="odds ratio"
@@ -426,21 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
     pathway.add_argument(
         "--risk-exposed", type=float, required=True, help="assumed risk among exposed"
     )
-    register(pathway, "prior wm-pathway", _prior_pathway_results)
 
-    verify = subparsers.add_parser(
-        "verify", help="brute-force check of the standardized-effect ceiling"
+    verify = leaf(
+        subparsers,
+        "verify",
+        _verify_results,
+        "brute-force check of the standardized-effect ceiling",
     )
     verify.add_argument("--samples", type=int, required=True, help="number of samples")
     verify.add_argument("--seed", type=int, required=True, help="random seed")
-    register(verify, "verify", _verify_results)
 
-    pz = subparsers.add_parser("pz", help="p-value / normal statistic conversion")
+    pz = leaf(subparsers, "pz", _pz_results, "p-value / normal statistic conversion")
     direction = pz.add_mutually_exclusive_group(required=True)
     direction.add_argument("--p", type=float, help="upper-tail p-value")
     direction.add_argument("--z", type=float, help="normal test statistic")
-    register(pz, "pz", _pz_results)
 
+    # Last, so that --format closes every leaf's usage and help.
+    for sub in leaves:
+        _add_format(sub)
     return parser
 
 
@@ -472,12 +449,6 @@ def _render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(envelope: dict, fmt: str) -> str:
-    if fmt == "text":
-        return _render_text(envelope)
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-
-
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The one parser `run` uses in a process; parsing never mutates it."""
@@ -489,23 +460,25 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.validate_fn is not None:
-        message = args.validate_fn(args)
-        if message is not None:
-            sys.stderr.write(f"keplor {args.command_name}: error: {message}\n")
-            return 2
-    envelope: dict[str, Any] = {"command": args.command_name, "inputs": _inputs(args)}
+        return exc.code
+    command, results = args.handler
+    envelope: dict[str, Any] = {"command": command, "inputs": _inputs(args)}
     try:
-        envelope["results"] = args.results_fn(args)
+        envelope["results"] = results(args)
         envelope["status"] = "ok"
         code = 0
+    except _UsageError as exc:
+        sys.stderr.write(f"keplor {command}: error: {exc}\n")
+        return 2
     except KeplorError as exc:
         envelope["results"] = {}
         envelope["status"] = "error"
         envelope["error_message"] = str(exc)
         code = 1
-    sys.stdout.write(_render(envelope, args.format))
+    if args.format == "text":
+        sys.stdout.write(_render_text(envelope))
+    else:
+        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     return code
 
 

@@ -19,6 +19,7 @@ import sys
 from functools import lru_cache
 
 from .contingency import (
+    EffectRatios,
     EffectSummary,
     RiskParams,
     _check_derived,
@@ -98,13 +99,7 @@ def sigma2_by_prevalence(
     _check_probability("prevalence", prevalence)
     _check_probability("exposure_cases", exposure_cases)
     _check_probability("exposure_controls", exposure_controls)
-    p, q, w = exposure_cases, exposure_controls, prevalence
-    try:
-        return 1.0 / (w * p * (1.0 - p)) + 1.0 / ((1.0 - w) * q * (1.0 - q))
-    except ZeroDivisionError:
-        # A product of probabilities underflowed to 0; its reciprocal lies
-        # past the largest double, so inf is the correctly rounded result.
-        return math.inf
+    return _variance_factor(prevalence, exposure_cases, exposure_controls)
 
 
 def sigma2_by_exposure(
@@ -114,11 +109,16 @@ def sigma2_by_exposure(
     _check_probability("exposure", exposure)
     _check_probability("risk_exposed", risk_exposed)
     _check_probability("risk_unexposed", risk_unexposed)
-    re_, ru, v = risk_exposed, risk_unexposed, exposure
+    return _variance_factor(exposure, risk_exposed, risk_unexposed)
+
+
+def _variance_factor(w: float, a: float, b: float) -> float:
+    """1/(w*a*(1-a)) + 1/((1-w)*b*(1-b)), the variance factor of both forms."""
     try:
-        return 1.0 / (v * re_ * (1.0 - re_)) + 1.0 / ((1.0 - v) * ru * (1.0 - ru))
+        return 1.0 / (w * a * (1.0 - a)) + 1.0 / ((1.0 - w) * b * (1.0 - b))
     except ZeroDivisionError:
-        # As in sigma2_by_prevalence.
+        # A product of probabilities underflowed to 0; its reciprocal lies
+        # past the largest double, so inf is the correctly rounded result.
         return math.inf
 
 
@@ -157,15 +157,15 @@ def optimal_risk(odds_ratio: float) -> RiskParams:
     """Risk triple maximizing the standardized effect at a fixed odds ratio.
 
     risk_unexposed = 1/(1 + sqrt(or)), risk_exposed = 1 - risk_unexposed,
-    exposure = 1/2.
+    exposure = 1/2.  Raises InconsistentParams, naming the risk as derived,
+    where one rounds to 1.0: for ln(or) above about 74.86 or below about -73.5.
     """
     _check_positive("odds_ratio", odds_ratio)
     risk_unexposed = 1.0 / (1.0 + math.sqrt(odds_ratio))
-    return RiskParams(
-        risk_exposed=1.0 - risk_unexposed,
-        risk_unexposed=risk_unexposed,
-        exposure=0.5,
-    )
+    risk_exposed = 1.0 - risk_unexposed
+    _check_derived("risk_unexposed", risk_unexposed)
+    _check_derived("risk_exposed", risk_exposed)
+    return RiskParams(risk_exposed, risk_unexposed, exposure=0.5)
 
 
 def standardized_effect(risk: RiskParams) -> float:
@@ -174,24 +174,25 @@ def standardized_effect(risk: RiskParams) -> float:
     Where the odds ratio or the variance factor overflows, the quotient is
     evaluated in a scaled form instead of giving nan or 0.
     """
-    odds_ratio = odds_and_risk_ratio(risk).odds_ratio
-    log_odds = _risk_log_odds(risk, odds_ratio)
-    sigma2 = sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
-    if math.isinf(odds_ratio) or math.isinf(sigma2):
+    ratios, log_odds, sigma2 = _risk_effect(risk)
+    if math.isinf(ratios.odds_ratio) or math.isinf(sigma2):
         return _scaled_standardized_effect(log_odds, risk)
     return log_odds / math.sqrt(sigma2)
 
 
-def _risk_log_odds(risk: RiskParams, odds_ratio: float) -> float:
-    """ln(odds_ratio) of a risk pair.
+def _risk_effect(risk: RiskParams) -> tuple[EffectRatios, float, float]:
+    """The ratios, ln(odds ratio) and variance factor of a risk triple.
 
     Where the odds ratio overflowed or is subnormal, so that it keeps no or
     only a few significant bits, the log is the difference of the logits.
     """
-    if math.isinf(odds_ratio) or 0.0 < odds_ratio < sys.float_info.min:
-        re_, ru = risk.risk_exposed, risk.risk_unexposed
-        return (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
-    return _log_odds(odds_ratio)
+    ratios = odds_and_risk_ratio(risk)
+    re_, ru = risk.risk_exposed, risk.risk_unexposed
+    if math.isinf(ratios.odds_ratio) or 0.0 < ratios.odds_ratio < sys.float_info.min:
+        log_odds = (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
+    else:
+        log_odds = _log_odds(ratios.odds_ratio)
+    return ratios, log_odds, _variance_factor(risk.exposure, re_, ru)
 
 
 def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
@@ -218,11 +219,8 @@ def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
 
 def summarize_risk(risk: RiskParams) -> EffectSummary:
     """Bundle the effect measures implied by a risk triple."""
-    ratios = odds_and_risk_ratio(risk)
-    log_odds = _risk_log_odds(risk, ratios.odds_ratio)
-    sigma = math.sqrt(
-        sigma2_by_exposure(risk.exposure, risk.risk_exposed, risk.risk_unexposed)
-    )
+    ratios, log_odds, sigma2 = _risk_effect(risk)
+    sigma = math.sqrt(sigma2)
     return EffectSummary(
         odds_ratio=ratios.odds_ratio,
         risk_ratio=ratios.risk_ratio,

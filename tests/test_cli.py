@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -109,6 +110,16 @@ class TestTableFileMode:
         code, out, _ = capture(capsys, ["table", "--file", str(bad)])
         assert code == 1
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1,2,3,4")
+        code, out, err = capture(capsys, ["table", "--file", str(bad)])
+        assert (code, err) == (1, "")
+        envelope = json.loads(out)
+        assert envelope["status"] == "error"
+        assert envelope["error_message"].startswith(f"cannot read table file {str(bad)!r}: ")
+        assert "can't decode byte 0xff" in envelope["error_message"]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -136,6 +147,166 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (
+                [],
+                "choose exactly one input mode: --or, --p/--q, or "
+                "--risk-exposed/--risk-unexposed",
+            ),
+            (["--q", "0.2"], "--p and --q must be given together"),
+            (
+                ["--risk-unexposed", "0.2"],
+                "--risk-exposed and --risk-unexposed must be given together",
+            ),
+            (["--p", "0.5", "--q", "0.2", "--rr", "2"], "--rr applies only with --or"),
+            (["--or", "4", "--prevalence", "0.3"], "--prevalence applies only with --p/--q"),
+            (
+                ["--or", "4", "--exposure", "0.3", "--format", "text"],
+                "--exposure applies only with --risk-exposed/--risk-unexposed",
+            ),
+        ],
+    )
+    def test_bounds_mode_errors(self, capsys, options, message):
+        assert capture(capsys, ["bounds", *options]) == (
+            2,
+            "",
+            f"keplor bounds: error: {message}\n",
+        )
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) for every leaf under `parser`, in declaration order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*words, name))
+            return
+    yield " ".join(words), parser
+
+
+class TestCommandDeclarations:
+    def test_leaf_options_in_declaration_order(self):
+        # The order fixes the help and usage text; --format closes every leaf.
+        options = {
+            command: [flag for action in leaf._actions for flag in action.option_strings]
+            for command, leaf in _leaves(build_parser())
+        }
+        expected = {
+            "table": ["-h", "--help", "--counts", "--file", "--correction", "--format"],
+            "bounds": [
+                "-h", "--help", "--or", "--rr", "--p", "--q", "--prevalence",
+                "--risk-exposed", "--risk-unexposed", "--exposure", "--format",
+            ],
+            "constants": ["-h", "--help", "--format"],
+            "kepler solve": ["-h", "--help", "--m", "--eps", "--tol", "--format"],
+            "kepler series": ["-h", "--help", "--m", "--eps", "--order", "--format"],
+            "kepler diverge-table": [
+                "-h", "--help", "--m", "--eps", "--max-order", "--tol", "--format",
+            ],
+            "prior flattest": [
+                "-h", "--help", "--or-threshold", "--tail-mass", "--sigma", "--format",
+            ],
+            "prior wm-pathway": ["-h", "--help", "--or", "--risk-exposed", "--format"],
+            "verify": ["-h", "--help", "--samples", "--seed", "--format"],
+            "pz": ["-h", "--help", "--p", "--z", "--format"],
+        }
+        assert list(options.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "argv,inputs,results",
+        [
+            (
+                "table --counts 1,2,3,4",
+                "correction counts",
+                "case_fraction exposure_cases exposure_controls log_odds odds_ratio "
+                "t_statistic total",
+            ),
+            (
+                "bounds --or 4",
+                "or",
+                "bound_curve bound_curve_derivative log_odds max_standardized_effect "
+                "optimal_exposure optimal_risk_exposed optimal_risk_unexposed",
+            ),
+            (
+                "bounds --or 4 --rr 1.5",
+                "or rr",
+                "bound_curve bound_curve_derivative log_odds max_standardized_effect "
+                "min_variance_exposure optimal_exposure optimal_risk_exposed "
+                "optimal_risk_unexposed",
+            ),
+            (
+                "bounds --p 0.3 --q 0.2",
+                "p q",
+                "exposure max_standardized_effect min_variance_prevalence odds_ratio "
+                "prevalence_used risk_exposed risk_unexposed sigma_at_min "
+                "standardized_effect",
+            ),
+            (
+                "bounds --p 0.3 --q 0.2 --prevalence 0.1",
+                "p prevalence q",
+                "exposure max_standardized_effect min_variance_prevalence odds_ratio "
+                "prevalence_used risk_exposed risk_unexposed sigma_at_min "
+                "standardized_effect",
+            ),
+            (
+                "bounds --risk-exposed 0.3 --risk-unexposed 0.2 --exposure 0.4",
+                "exposure risk_exposed risk_unexposed",
+                "exposure_cases exposure_controls log_odds min_variance_exposure "
+                "odds_ratio prevalence risk_ratio sigma sigma_at_min standardized_effect",
+            ),
+            (
+                "constants",
+                "",
+                "laplace_limit peak_log_or peak_or peak_risk series_radius tanh_root",
+            ),
+            (
+                "kepler solve --m 1 --eps 0.5",
+                "eps m tol",
+                "eccentric_anomaly iterations mean_anomaly_check method residual",
+            ),
+            (
+                "kepler series --m 1 --eps 0.5 --order 3",
+                "eps m order",
+                "eccentric_anomaly method order residual",
+            ),
+            (
+                "kepler diverge-table --m 1 --eps 0.5 --max-order 2",
+                "eps m max_order tol",
+                "newton_eccentric_anomaly rows",
+            ),
+            (
+                "prior flattest --or-threshold 2 --tail-mass 0.05",
+                "or_threshold tail_mass",
+                "assumed_sigma flattest_sigma prior_variance tail_quantile",
+            ),
+            (
+                "prior wm-pathway --or 2 --risk-exposed 0.1",
+                "or risk_exposed",
+                "prevalence risk_ratio risk_unexposed sigma",
+            ),
+            (
+                "verify --samples 10 --seed 1",
+                "samples seed",
+                "argmax_exposure argmax_risk_exposed argmax_risk_unexposed bound "
+                "max_gamma_observed samples violations",
+            ),
+            ("pz --p 0.05", "p", "z"),
+            ("pz --z 1", "z", "p"),
+        ],
+    )
+    def test_frozen_keys(self, capsys, argv, inputs, results):
+        # Renaming a library field must not silently change the CLI schema.
+        code, out, _ = capture(capsys, argv.split())
+        assert code == 0
+        envelope = json.loads(out)
+        assert list(envelope) == ["command", "inputs", "results", "status"]
+        assert list(envelope["inputs"]) == inputs.split()
+        assert list(envelope["results"]) == results.split()
+        for row in envelope["results"].get("rows", []):
+            assert list(row) == ["abs_error", "eccentric_anomaly", "order"]
 
 
 class TestDomainErrors:
@@ -185,6 +356,9 @@ class TestDomainErrors:
             (["bounds", "--p", "0.5", "--q", "5e-324"], "derived risk_exposed 1.0 falls outside (0, 1)"),
             # Here the minimizer itself, 1 - 4.4e-162, rounds to 1.0.
             (["bounds", "--p", "5e-324", "--q", "0.5"], "derived prevalence 1.0 falls outside (0, 1)"),
+            # The optimal risks 1 - 1e-20 round to 1.0, on either side.
+            (["bounds", "--or", "1e40"], "derived risk_exposed 1.0 falls outside (0, 1)"),
+            (["bounds", "--or", "1e-40"], "derived risk_unexposed 1.0 falls outside (0, 1)"),
         ],
     )
     def test_unrepresentable_derived_values_are_named_as_derived(self, capsys, argv, message):

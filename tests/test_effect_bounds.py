@@ -179,6 +179,21 @@ class TestOptimalRisk:
         with pytest.raises(DomainError):
             optimal_risk(-3.0)
 
+    @pytest.mark.parametrize(
+        "odds_ratio,message",
+        [
+            # risk_exposed = 1 - 1e-20 rounds to 1.0.
+            (1e40, "derived risk_exposed 1.0 falls outside (0, 1)"),
+            # risk_unexposed = 1 - 1e-20 rounds to 1.0; the 0.0 left for
+            # risk_exposed follows from it.
+            (1e-40, "derived risk_unexposed 1.0 falls outside (0, 1)"),
+        ],
+    )
+    def test_unrepresentable_risk_is_named_as_derived(self, odds_ratio, message):
+        with pytest.raises(InconsistentParams) as excinfo:
+            optimal_risk(odds_ratio)
+        assert str(excinfo.value) == message
+
 
 class TestStandardizedEffect:
     def test_null(self):
