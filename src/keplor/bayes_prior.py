@@ -18,7 +18,8 @@ from .effect_bounds import (
     min_variance_prevalence,
     sigma2_by_prevalence,
 )
-from .errors import DomainError, InconsistentParams, _Record
+from .errors import DomainError, _Record
+from .errors import _check_derived, _check_finite, _check_positive, _check_probability
 from .numerics import normal_cdf, normal_quantile
 
 __all__ = [
@@ -47,10 +48,7 @@ class PriorSpec(_Record):
     prior_variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.prior_variance) and self.prior_variance > 0.0):
-            raise DomainError(
-                f"prior_variance must be positive, got {self.prior_variance!r}"
-            )
+        _check_positive("prior_variance", self.prior_variance)
 
 
 class PathwayResult(NamedTuple):
@@ -68,8 +66,7 @@ def p_to_z(p_value: float) -> float:
     Evaluated as -normal_quantile(p_value), never through 1 - p_value, which
     rounds to 1 below p = 1.1e-16; 0.0 - x keeps z = +0.0 at p = 1/2.
     """
-    if not 0.0 < p_value < 1.0:
-        raise DomainError(f"p_value must lie in (0, 1), got {p_value!r}")
+    _check_probability("p_value", p_value)
     return 0.0 - normal_quantile(p_value)
 
 
@@ -79,8 +76,7 @@ def z_to_p(z: float) -> float:
     normal_cdf(-z) is erfc(z/sqrt 2)/2, which keeps full relative accuracy in
     the upper tail, where 1 - normal_cdf(z) cancels to 0 past z = 8.3.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
+    _check_finite("z", z)
     return normal_cdf(-z)
 
 
@@ -97,8 +93,7 @@ def flattest_prior(
         raise DomainError(f"or_threshold must exceed 1, got {or_threshold!r}")
     if not 0.0 < tail_mass < 0.5:
         raise DomainError(f"tail_mass must lie in (0, 0.5), got {tail_mass!r}")
-    if not (math.isfinite(assumed_sigma) and assumed_sigma > 0.0):
-        raise DomainError(f"assumed_sigma must be positive, got {assumed_sigma!r}")
+    _check_positive("assumed_sigma", assumed_sigma)
     quantile = p_to_z(tail_mass)
     ratio = math.log(or_threshold) / assumed_sigma / quantile
     return PriorSpec(
@@ -129,16 +124,10 @@ def prevalence_pathway(odds_ratio: float, risk_exposed: float) -> PathwayResult:
     parameters, where the variance-minimizing prevalence and its sigma are
     evaluated.
     """
-    if not (math.isfinite(odds_ratio) and odds_ratio > 0.0):
-        raise DomainError(f"odds_ratio must be positive, got {odds_ratio!r}")
-    if not 0.0 < risk_exposed < 1.0:
-        raise DomainError(f"risk_exposed must lie in (0, 1), got {risk_exposed!r}")
-    denominator = 1.0 + odds_ratio * (1.0 - risk_exposed) / risk_exposed
-    risk_unexposed = 1.0 / denominator
-    if not 0.0 < risk_unexposed < 1.0:
-        raise InconsistentParams(
-            f"derived risk_unexposed {risk_unexposed!r} falls outside (0, 1)"
-        )
+    _check_positive("odds_ratio", odds_ratio)
+    _check_probability("risk_exposed", risk_exposed)
+    risk_unexposed = 1.0 / (1.0 + odds_ratio * (1.0 - risk_exposed) / risk_exposed)
+    _check_derived("risk_unexposed", risk_unexposed)
     cohort = risk_to_cohort(
         RiskParams(risk_exposed=risk_exposed, risk_unexposed=risk_unexposed, exposure=0.5)
     )

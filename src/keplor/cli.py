@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 # The library modules are imported inside each command that calls them, so a
 # one-shot process loads only what its subcommand uses.
-from .errors import DomainError, KeplorError
+from .errors import DomainError, KeplorError, _check_probability, _parse_count
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -34,10 +34,7 @@ def _counts_argument(text: str) -> tuple[int, int, int, int]:
         )
     counts = []
     for piece in parts:
-        try:
-            value = int(piece)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"count {piece!r} is not an integer")
+        value = _parse_count(piece, argparse.ArgumentTypeError)
         if value < 0:
             raise argparse.ArgumentTypeError(f"count {piece!r} is negative")
         counts.append(value)
@@ -133,9 +130,8 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         return results
     if pq_mode:
         p, q = args.p, args.q
-        for name, value in (("p", p), ("q", q)):
-            if not 0.0 < value < 1.0:
-                raise DomainError(f"--{name} must lie in (0, 1), got {value!r}")
+        _check_probability("--p", p)
+        _check_probability("--q", q)
         odds_ratio = (p / (1.0 - p)) / (q / (1.0 - q))
         w_min = effect_bounds.min_variance_prevalence(p, q)
         prevalence = args.prevalence if args.prevalence is not None else w_min
@@ -256,10 +252,7 @@ def _verify_results(args: argparse.Namespace) -> dict:
 
     report = effect_bounds.verify_bound(args.samples, args.seed)
     return {
-        "samples": report.samples,
-        "violations": report.violations,
-        "max_gamma_observed": report.max_gamma_observed,
-        "bound": report.bound,
+        **{name: value for name, value in vars(report).items() if name != "arg_max"},
         **{f"argmax_{name}": value for name, value in vars(report.arg_max).items()},
     }
 

@@ -14,7 +14,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, InconsistentParams, NonFinite, ZeroCell, ZeroMargin, _Record
+from .errors import DomainError, NonFinite, ZeroCell, ZeroMargin, _parse_count, _Record
+from .errors import _check_derived, _check_integer, _check_positive, _check_probability
 
 __all__ = [
     "TwoByTwoTable",
@@ -37,30 +38,11 @@ __all__ = [
 _STANDARDIZED_CAP = 0.6627434194
 
 
-def _check_probability(name: str, value: float) -> None:
-    # NaN fails both comparisons, so it is rejected here too.
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-
-
-def _check_derived(name: str, value: float) -> None:
-    # A mix of two tiny probabilities can underflow to 0 before it is divided by.
-    if not 0.0 < value < 1.0:
-        raise InconsistentParams(f"derived {name} {value!r} falls outside (0, 1)")
-
-
 def _log_odds(odds_ratio: float) -> float:
     """math.log, raising NonFinite where an odds ratio underflowed to 0."""
     if odds_ratio == 0.0:
         raise NonFinite("odds ratio underflows to 0 in double precision")
     return math.log(odds_ratio)
-
-
-def _check_count(name: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer count, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be non-negative, got {value!r}")
 
 
 class TwoByTwoTable(_Record):
@@ -72,8 +54,8 @@ class TwoByTwoTable(_Record):
     n22: int
 
     def __post_init__(self) -> None:
-        for name in ("n11", "n12", "n21", "n22"):
-            _check_count(name, getattr(self, name))
+        for name, value in self.__dict__.items():
+            _check_integer(name, value, 0)
         if self.n11 + self.n12 < 1:
             raise ZeroMargin("table has no cases (first row sums to zero)")
         if self.n21 + self.n22 < 1:
@@ -102,13 +84,7 @@ class TwoByTwoTable(_Record):
             raise DomainError(
                 f"expected four comma-separated counts n11,n12,n21,n22, got {text!r}"
             )
-        counts = []
-        for piece in parts:
-            try:
-                counts.append(int(piece))
-            except ValueError:
-                raise DomainError(f"count {piece!r} is not an integer") from None
-        return cls(*counts)
+        return cls(*[_parse_count(piece, DomainError) for piece in parts])
 
 
 class CohortParams(_Record):
@@ -146,9 +122,7 @@ class EffectSummary(_Record):
 
     def __post_init__(self) -> None:
         for name in ("odds_ratio", "risk_ratio", "sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         log_or = math.log(self.odds_ratio)
         if self.odds_ratio < sys.float_info.min:
             # log_odds comes from the risks, and a subnormal odds ratio is off

@@ -18,16 +18,10 @@ import math
 import sys
 from functools import lru_cache
 
-from .contingency import (
-    EffectRatios,
-    EffectSummary,
-    RiskParams,
-    _check_derived,
-    _check_probability,
-    _log_odds,
-    odds_and_risk_ratio,
-)
+from .contingency import EffectRatios, EffectSummary, RiskParams
+from .contingency import _log_odds, odds_and_risk_ratio
 from .errors import DomainError, _Record
+from .errors import _check_derived, _check_integer, _check_positive, _check_probability
 from .kepler import _tanh_root
 
 __all__ = [
@@ -81,11 +75,6 @@ class VerificationReport(_Record):
     arg_max: RiskParams
     violations: int
     bound: float
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
 
 
 def sigma2_by_prevalence(
@@ -368,10 +357,8 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     flat at any n_samples; the report is the one an evaluation of all triples
     at once gives.  numpy is imported on first call.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
-        raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("seed", seed, 0)
     import numpy as np
 
     constants = bound_constants()

@@ -1,12 +1,18 @@
-"""Exception hierarchy and frozen-record base shared by every keplor module.
+"""Exceptions, the frozen-record base and the shared argument checks.
 
 All package errors derive from :class:`KeplorError`, so callers can catch one
 type at the boundary.  Domain violations additionally subclass the matching
 builtin (``ValueError``, ``ArithmeticError``, ``RuntimeError``) so that code
 written against the builtins keeps working.
+
+Each argument rule that several modules apply is one ``_check_*`` helper here,
+so a bad value gets one message from every entry point.  ``_parse_count``
+reads a table count for both the CLI and ``TwoByTwoTable.from_text``.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "KeplorError",
@@ -91,3 +97,54 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(tuple(self.__dict__.values()))
+
+
+def _check_probability(name: str, value: float) -> None:
+    # NaN fails both comparisons, so it is rejected here too.
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def _check_derived(name: str, value: float) -> None:
+    # A mix of two tiny probabilities can underflow to 0 before it is divided by.
+    if not 0.0 < value < 1.0:
+        raise InconsistentParams(f"derived {name} {value!r} falls outside (0, 1)")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_integer(name: str, value: int, minimum: int) -> None:
+    """Reject a bool, a non-int, or an int below `minimum`, which is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _parse_count(text: str, error: type[Exception]) -> int:
+    """int(text) for one stripped table count; `error` says why it is not one.
+
+    int() reads at most sys.get_int_max_str_digits() digits (4,300 by default,
+    leading zeros included); a longer count is named by its number of digits.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        sign = text[:1] if text[:1] in ("+", "-") else ""
+        groups = text[len(sign) :].split("_")
+    if not all(group.isdecimal() for group in groups):
+        raise error(f"count {text!r} is not an integer")
+    digits = "".join(groups).lstrip("0") or "0"
+    try:
+        return int(sign + digits)
+    except ValueError:
+        raise error(
+            f"a count of {len(digits):,} digits exceeds the double-precision range"
+        ) from None

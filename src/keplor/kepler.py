@@ -18,6 +18,7 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError, NoConvergence, OrderTooLarge, _Record
+from .errors import _check_finite, _check_integer, _check_positive
 from .numerics import Bracket, find_root
 
 __all__ = [
@@ -52,8 +53,7 @@ class KeplerProblem(_Record):
     eccentricity: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean_anomaly):
-            raise DomainError(f"mean_anomaly must be finite, got {self.mean_anomaly!r}")
+        _check_finite("mean_anomaly", self.mean_anomaly)
         _check_eccentricity(self.eccentricity)
 
 
@@ -76,10 +76,7 @@ class KeplerSolution(_Record):
 
 def mean_anomaly(eccentric_anomaly: float, eccentricity: float) -> float:
     """Forward Kepler map E - ecc*sin(E)."""
-    if not math.isfinite(eccentric_anomaly):
-        raise DomainError(
-            f"eccentric_anomaly must be finite, got {eccentric_anomaly!r}"
-        )
+    _check_finite("eccentric_anomaly", eccentric_anomaly)
     _check_eccentricity(eccentricity)
     return eccentric_anomaly - eccentricity * math.sin(eccentric_anomaly)
 
@@ -96,15 +93,16 @@ def _reduce(m: float) -> tuple[float, float, float]:
     return -r, -1.0, base
 
 
-def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int]:
+def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int] | None:
     """Solve on the reduced domain m in [0, pi]; returns (E, residual, iterations).
 
     Newton from the starter m + ecc*sin(m), which provably lies in the
     enclosure [m, min(pi, m + ecc)].  Every candidate step is kept inside the
     current sign-change enclosure (an escaping step is replaced by the
     midpoint), so the iteration cannot wander.  Past _NEWTON_BUDGET
-    iterations it raises NoConvergence; on every tested input that happens
-    only when tol lies below the rounding error of the residual itself.
+    iterations it returns None, and kepler_solve raises NoConvergence naming
+    the caller's mean anomaly; on every tested input that happens only when
+    tol lies below the rounding error of the residual itself.
     """
     if ecc == 0.0 or m == 0.0 or m == math.pi:
         return m, abs(ecc * math.sin(m)), 0
@@ -120,9 +118,7 @@ def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int]
             hi = x
         candidate = x - fx / (1.0 - ecc * math.cos(x))
         x = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    raise NoConvergence(
-        f"kepler solve stalled at m={m!r}, eccentricity={ecc!r}, tol={tol!r}"
-    )
+    return None
 
 
 def kepler_solve(problem: KeplerProblem, tol: float = 1e-12) -> KeplerSolution:
@@ -132,10 +128,15 @@ def kepler_solve(problem: KeplerProblem, tol: float = 1e-12) -> KeplerSolution:
     solving (E(-M) = -E(M)), then the reduction is undone; on the reduced
     domain the solution satisfies E in [M, M + ecc].
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    _check_positive("tol", tol)
     reduced, sign, base = _reduce(problem.mean_anomaly)
-    root, residual, iterations = _solve_reduced(reduced, problem.eccentricity, tol)
+    solved = _solve_reduced(reduced, problem.eccentricity, tol)
+    if solved is None:
+        raise NoConvergence(
+            f"kepler solve stalled at m={problem.mean_anomaly!r}, "
+            f"eccentricity={problem.eccentricity!r}, tol={tol!r}"
+        )
+    root, residual, iterations = solved
     return KeplerSolution(
         eccentric_anomaly=sign * root + base,
         residual=residual,
@@ -170,8 +171,7 @@ def _partial_sums(
 
     Each sin(k*M) is evaluated once and shared by every order that uses it.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
+    _check_integer("order", order, 1)
     if order > SERIES_ORDER_CAP:
         raise OrderTooLarge(
             f"order {order} exceeds the supported cap {SERIES_ORDER_CAP}"

@@ -10,6 +10,7 @@ import math
 from typing import Callable, Optional
 
 from .errors import DomainError, NoConvergence, NonFinite, NoSignChange, _Record
+from .errors import _check_positive, _check_probability
 
 __all__ = ["Bracket", "RootResult", "find_root", "normal_cdf", "normal_quantile"]
 
@@ -88,8 +89,7 @@ def find_root(
         If the budget is exhausted (cannot happen for continuous f with the
         default budget, kept as a hard backstop).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    _check_positive("tol", tol)
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo = _eval_checked(f, lo)
     if flo == 0.0:
@@ -185,8 +185,7 @@ def normal_quantile(p: float) -> float:
     returns -normal_quantile(1 - p): 1 - p is exact there (Sterbenz), while
     the Newton step would subtract p from a cdf value next to 1.
     """
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise DomainError(f"normal_quantile requires 0 < p < 1, got {p!r}")
+    _check_probability("p", p)
     if p > 0.5:
         return -normal_quantile(1.0 - p)
     if p < _Q_TAIL:
