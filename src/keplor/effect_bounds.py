@@ -145,13 +145,14 @@ def min_variance_exposure(risk_ratio: float, odds_ratio: float) -> float:
 def optimal_risk(odds_ratio: float) -> RiskParams:
     """Risk triple maximizing the standardized effect at a fixed odds ratio.
 
-    risk_unexposed = 1/(1 + sqrt(or)), risk_exposed = 1 - risk_unexposed,
-    exposure = 1/2.  Raises InconsistentParams, naming the risk as derived,
-    where one rounds to 1.0: for ln(or) above about 74.86 or below about -73.5.
+    risk_unexposed = 1/(1 + sqrt(or)), risk_exposed = sqrt(or)/(1 + sqrt(or)),
+    the larger as 1 minus the smaller; exposure = 1/2.  InconsistentParams names
+    the derived risk where one rounds to 1.0, for |ln or| above about 74.86.
     """
     _check_positive("odds_ratio", odds_ratio)
-    risk_unexposed = 1.0 / (1.0 + math.sqrt(odds_ratio))
-    risk_exposed = 1.0 - risk_unexposed
+    root = math.sqrt(odds_ratio)
+    low = min(root, 1.0) / (1.0 + root)
+    risk_exposed, risk_unexposed = (1.0 - low, low) if root >= 1.0 else (low, 1.0 - low)
     _check_derived("risk_unexposed", risk_unexposed)
     _check_derived("risk_exposed", risk_exposed)
     return RiskParams(risk_exposed, risk_unexposed, exposure=0.5)
@@ -222,15 +223,12 @@ def summarize_risk(risk: RiskParams) -> EffectSummary:
 def max_standardized_effect(odds_ratio: float) -> float:
     """Ceiling of the standardized effect over all designs at a fixed odds ratio.
 
-    ln(or) / (2*sqrt(2 + (1+or)/sqrt(or))); evaluated through the equivalent
-    hyperbolic form for |ln or| > 300 to keep clear of overflow.
+    ln(or) / (2*sqrt(2 + (1+or)/sqrt(or))), finite for every positive double.
+    bound_curve(ln or) is the same value but loses up to |ln or|/4 ulps.
     """
     _check_positive("odds_ratio", odds_ratio)
-    log_odds = math.log(odds_ratio)
-    if abs(log_odds) > 300.0:
-        return bound_curve(log_odds)
     scale = 2.0 + (1.0 + odds_ratio) / math.sqrt(odds_ratio)
-    return log_odds / (2.0 * math.sqrt(scale))
+    return math.log(odds_ratio) / (2.0 * math.sqrt(scale))
 
 
 def bound_curve(log_odds: float) -> float:

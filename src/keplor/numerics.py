@@ -180,8 +180,9 @@ def _quantile_tail(q: float) -> float:
 def normal_quantile(p: float) -> float:
     """Inverse of normal_cdf on (0, 1).
 
-    Acklam's rational approximation refined by one Newton step on normal_cdf;
-    absolute error below 1e-9 across the open unit interval.  Above 1/2 it
+    Acklam's rational approximation refined by one Newton step on normal_cdf.
+    Absolute error measured below 3e-14 for p >= 1e-300; 1.7e-8 at p = 1e-306
+    and 6.8e-8 at p = 5e-324, where x*x/2 >= 700 skips the step.  Above 1/2 it
     returns -normal_quantile(1 - p): 1 - p is exact there (Sterbenz), while
     the Newton step would subtract p from a cdf value next to 1.
     """

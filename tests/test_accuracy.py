@@ -1,0 +1,65 @@
+"""Maximum relative error of the closed forms over frozen grids of doubles.
+
+Grid points are doubles drawn by mantissa and exponent, never as exp(double):
+ln of such a point is not itself a double, so a form that rounds ln(or) first
+shows its loss here.  The references in accuracy_grid.py are 50-digit values
+rounded once to double.
+"""
+
+import math
+
+import pytest
+
+import accuracy_grid as grid
+from keplor.bayes_prior import flattest_sigma
+from keplor.effect_bounds import (
+    max_standardized_effect,
+    min_variance_prevalence,
+    optimal_risk,
+)
+
+# One ulp of a correctly rounded result is at most 2.2e-16 relative, two ulps
+# are at most 4.4e-16; 4e-16 allows two only on mantissas above 1.11.
+MAX_RELATIVE_ERROR = 4e-16
+
+
+def binade_points(lowest, highest):
+    """One double in each binade [2**e, 2**(e+1)) for e = lowest..highest.
+
+    The mantissa's fraction bits are frac((e + 1075) * 0.618...), truncated to
+    the bits the binade holds, so subnormal binades get exact points too.
+    """
+    points = []
+    for e in range(lowest, highest + 1):
+        bits = min(52, e + 1074)
+        fraction = ((e + 1075) * 0.6180339887498949) % 1.0
+        mantissa = (1 << bits) + int(math.ldexp(fraction, bits))
+        points.append(math.ldexp(mantissa, e - bits))
+    return points
+
+
+def within(expected):
+    return pytest.approx(list(expected), rel=MAX_RELATIVE_ERROR, abs=0)
+
+
+def test_ceiling_over_every_binade():
+    points = binade_points(-1074, 1023)
+    assert [math.frexp(x)[1] - 1 for x in points] == list(range(-1074, 1024))
+    assert [max_standardized_effect(x) for x in points] == within(grid.CEILING)
+
+
+def test_flattest_sigma_over_every_binade_above_one():
+    points = binade_points(0, 1023)
+    assert [flattest_sigma(x) for x in points] == within(grid.FLATTEST_SIGMA)
+
+
+def test_optimal_risks_where_representable():
+    risks = [optimal_risk(x) for x in binade_points(-108, 107)]
+    exposed, unexposed = zip(*grid.OPTIMAL_RISK)
+    assert [risk.risk_exposed for risk in risks] == within(exposed)
+    assert [risk.risk_unexposed for risk in risks] == within(unexposed)
+
+
+def test_min_variance_prevalence_on_uniform_and_log_spaced_pairs():
+    got = [min_variance_prevalence(p, q) for p, q, _ in grid.PREVALENCE]
+    assert got == within(expected for _, _, expected in grid.PREVALENCE)

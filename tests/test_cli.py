@@ -140,6 +140,8 @@ class TestUsageErrors:
             ["pz", "--p", "0.1", "--z", "1.0"],
             ["prior", "flattest"],
             ["nonsense"],
+            # A leading "-1" would be read as an option; "-1" after "1," is a count.
+            ["table", "--counts", "1,-1,1,1"],
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -169,9 +169,25 @@ class TestOptimalRisk:
     def test_attainment_conditions(self, log_odds):
         odds_ratio = math.exp(log_odds)
         risks = optimal_risk(odds_ratio)
-        assert risks.risk_exposed == 1.0 - risks.risk_unexposed
+        smaller = min(risks.risk_exposed, risks.risk_unexposed)
+        assert max(risks.risk_exposed, risks.risk_unexposed) == 1.0 - smaller
         risk_ratio = risks.risk_exposed / risks.risk_unexposed
         assert risk_ratio * risk_ratio == pytest.approx(odds_ratio, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "odds_ratio,risk_exposed,risk_unexposed",
+        [
+            # 50-digit values rounded once to double.  risk_exposed taken as
+            # 1 - risk_unexposed was off by 8.3e-8, 8e-4 and 0.30 relative.
+            (1e-20, 9.999999999e-11, 0.9999999999),
+            (1e-28, 9.9999999999999e-15, 0.99999999999999),
+            (1e-31, 3.1622776601683783e-16, 0.9999999999999997),
+        ],
+    )
+    def test_small_odds_ratio(self, odds_ratio, risk_exposed, risk_unexposed):
+        risks = optimal_risk(odds_ratio)
+        assert risks.risk_exposed == pytest.approx(risk_exposed, rel=1e-15, abs=0)
+        assert risks.risk_unexposed == pytest.approx(risk_unexposed, rel=1e-15, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -349,9 +365,19 @@ class TestMaxStandardizedEffect:
         assert abs(ceiling - bound_curve(math.log(odds_ratio))) < 1e-13
         assert abs(ceiling - standardized_effect(optimal_risk(odds_ratio))) < 1e-12
 
-    def test_huge_arguments_use_curve_form(self):
-        assert max_standardized_effect(1e308) == bound_curve(math.log(1e308))
-        assert max_standardized_effect(5e-324) == bound_curve(math.log(5e-324))
+    @pytest.mark.parametrize(
+        "odds_ratio,expected",
+        [
+            # 50-digit values rounded once to double.  bound_curve(ln or),
+            # which rounds ln(or) first, was off by 3.5e-15 and 1.1e-14.
+            (1e308, 3.54598104321083e-75),
+            (5e-324, -5.549398481159181e-79),
+        ],
+    )
+    def test_extreme_arguments(self, odds_ratio, expected):
+        assert max_standardized_effect(odds_ratio) == pytest.approx(
+            expected, rel=1e-15, abs=0
+        )
 
     def test_domain(self):
         with pytest.raises(DomainError):
