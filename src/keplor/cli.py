@@ -17,7 +17,8 @@ from typing import Any, Optional
 
 # The library modules are imported inside each command that calls them, so a
 # one-shot process loads only what its subcommand uses.
-from .errors import DomainError, KeplorError, _check_probability, _parse_count
+from .errors import DomainError, KeplorError, _check_probability
+from .errors import _parse_count, _split_counts
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -26,19 +27,14 @@ class _UsageError(Exception):
     """An option combination argparse cannot express: exit 2, no envelope."""
 
 
-def _counts_argument(text: str) -> tuple[int, int, int, int]:
-    parts = [piece.strip() for piece in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected four comma-separated counts n11,n12,n21,n22, got {text!r}"
-        )
+def _counts_argument(text: str) -> str:
     counts = []
-    for piece in parts:
+    for piece in _split_counts(text, argparse.ArgumentTypeError):
         value = _parse_count(piece, argparse.ArgumentTypeError)
         if value < 0:
             raise argparse.ArgumentTypeError(f"count {piece!r} is negative")
-        counts.append(value)
-    return tuple(counts)
+        counts.append(str(value))
+    return ",".join(counts)
 
 
 def _add_format(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
@@ -57,13 +53,11 @@ _ROUTING = frozenset(
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """Echo every supplied option by dest name; or_value as "or", counts joined."""
+    """Echo every supplied option by dest name, or_value as "or"."""
     inputs: dict[str, Any] = {}
     for dest, value in vars(args).items():
         if dest in _ROUTING or value is None:
             continue
-        if dest == "counts":
-            value = ",".join(str(c) for c in value)
         inputs["or" if dest == "or_value" else dest] = value
     return inputs
 
@@ -71,15 +65,14 @@ def _inputs(args: argparse.Namespace) -> dict:
 def _table_results(args: argparse.Namespace) -> dict:
     from . import contingency
 
-    if args.counts is not None:
-        table = contingency.TwoByTwoTable(*args.counts)
-    else:
+    text = args.counts
+    if text is None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
-                content = handle.read()
+                text = handle.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read table file {args.file!r}: {exc}") from exc
-        table = contingency.TwoByTwoTable.from_text(content.strip())
+    table = contingency.TwoByTwoTable.from_text(text)
     return {
         **contingency.estimate_proportions(table)._asdict(),
         **contingency.estimate_odds_ratio(table, args.correction)._asdict(),

@@ -14,7 +14,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, NonFinite, ZeroCell, ZeroMargin, _parse_count, _Record
+from .errors import DomainError, NonFinite, ZeroCell, ZeroMargin, _Record
+from .errors import _parse_count, _split_counts
 from .errors import _check_derived, _check_integer, _check_positive, _check_probability
 
 __all__ = [
@@ -79,11 +80,7 @@ class TwoByTwoTable(_Record):
     @classmethod
     def from_text(cls, text: str) -> "TwoByTwoTable":
         """Parse 'n11,n12,n21,n22' (row-major, non-negative integers)."""
-        parts = [piece.strip() for piece in text.split(",")]
-        if len(parts) != 4:
-            raise DomainError(
-                f"expected four comma-separated counts n11,n12,n21,n22, got {text!r}"
-            )
+        parts = _split_counts(text, DomainError)
         return cls(*[_parse_count(piece, DomainError) for piece in parts])
 
 
@@ -230,11 +227,11 @@ def risk_to_cohort(risk: RiskParams) -> CohortParams:
     v = risk.exposure
     prevalence = v * re_ + (1.0 - v) * ru
     _check_derived("prevalence", prevalence)
-    return CohortParams(
-        exposure_cases=v * re_ / prevalence,
-        exposure_controls=v * (1.0 - re_) / (1.0 - prevalence),
-        prevalence=prevalence,
-    )
+    exposure_cases = v * re_ / prevalence
+    exposure_controls = v * (1.0 - re_) / (1.0 - prevalence)
+    _check_derived("exposure_cases", exposure_cases)
+    _check_derived("exposure_controls", exposure_controls)
+    return CohortParams(exposure_cases, exposure_controls, prevalence)
 
 
 def odds_and_risk_ratio(risk: RiskParams) -> EffectRatios:

@@ -22,7 +22,7 @@ from .contingency import EffectRatios, EffectSummary, RiskParams
 from .contingency import _log_odds, odds_and_risk_ratio
 from .errors import DomainError, _Record
 from .errors import _check_derived, _check_integer, _check_positive, _check_probability
-from .kepler import _tanh_root
+from .kepler import _tanh_root, series_radius
 
 __all__ = [
     "BoundConstants",
@@ -136,25 +136,28 @@ def min_variance_exposure(risk_ratio: float, odds_ratio: float) -> float:
 
     Consistency of the (risk_ratio, odds_ratio) pair is the caller's
     responsibility; the formula is evaluated as stated for any positive pair.
+    Raises InconsistentParams where the minimizer rounds to 0 or 1.
     """
     _check_positive("risk_ratio", risk_ratio)
     _check_positive("odds_ratio", odds_ratio)
-    return 1.0 / (1.0 + risk_ratio / math.sqrt(odds_ratio))
+    exposure = 1.0 / (1.0 + risk_ratio / math.sqrt(odds_ratio))
+    _check_derived("exposure", exposure)
+    return exposure
 
 
 def optimal_risk(odds_ratio: float) -> RiskParams:
     """Risk triple maximizing the standardized effect at a fixed odds ratio.
 
     risk_unexposed = 1/(1 + sqrt(or)), risk_exposed = sqrt(or)/(1 + sqrt(or)),
-    the larger as 1 minus the smaller; exposure = 1/2.  InconsistentParams names
-    the derived risk where one rounds to 1.0, for |ln or| above about 74.86.
+    the larger as 1 minus the smaller, which is at least 2.2e-162; exposure = 1/2.
+    InconsistentParams names the larger risk once it rounds to 1.0 (|ln or| > ~74.86).
     """
     _check_positive("odds_ratio", odds_ratio)
     root = math.sqrt(odds_ratio)
     low = min(root, 1.0) / (1.0 + root)
-    risk_exposed, risk_unexposed = (1.0 - low, low) if root >= 1.0 else (low, 1.0 - low)
-    _check_derived("risk_unexposed", risk_unexposed)
-    _check_derived("risk_exposed", risk_exposed)
+    high = 1.0 - low
+    _check_derived("risk_exposed" if root >= 1.0 else "risk_unexposed", high)
+    risk_exposed, risk_unexposed = (high, low) if root >= 1.0 else (low, high)
     return RiskParams(risk_exposed, risk_unexposed, exposure=0.5)
 
 
@@ -262,9 +265,8 @@ def bound_curve_derivative(log_odds: float) -> float:
 def bound_constants() -> BoundConstants:
     """Derive the attainment constants from the root z of z*tanh(z) = 1.
 
-    z comes from the one find_root solve in kepler that also gives
-    series_radius; bound_curve(4z) evaluates z/cosh(z) at 0.25*(4z) == z, so
-    laplace_limit equals series_radius() bit for bit.  Deterministic, cached.
+    z comes from the one find_root solve in kepler, and laplace_limit is
+    kepler.series_radius().  Deterministic, cached.
     """
     z = _tanh_root()
     peak_log_or = 4.0 * z
@@ -272,7 +274,7 @@ def bound_constants() -> BoundConstants:
         tanh_root=z,
         peak_log_or=peak_log_or,
         peak_or=math.exp(peak_log_or),
-        laplace_limit=bound_curve(peak_log_or),
+        laplace_limit=series_radius(),
         peak_risk=1.0 / (2.0 * z) + 0.5,
     )
 

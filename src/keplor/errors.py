@@ -6,8 +6,9 @@ builtin (``ValueError``, ``ArithmeticError``, ``RuntimeError``) so that code
 written against the builtins keeps working.
 
 Each argument rule that several modules apply is one ``_check_*`` helper here,
-so a bad value gets one message from every entry point.  ``_parse_count``
-reads a table count for both the CLI and ``TwoByTwoTable.from_text``.
+so a bad value gets one message from every entry point.  ``_split_counts``
+and ``_parse_count`` read a table's counts for both the CLI and
+``TwoByTwoTable.from_text``.
 """
 
 from __future__ import annotations
@@ -126,6 +127,16 @@ def _check_integer(name: str, value: int, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         kind = "positive" if minimum else "non-negative"
         raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _split_counts(text: str, error: type[Exception]) -> list[str]:
+    """The four stripped pieces of 'n11,n12,n21,n22'; `error` if not four."""
+    parts = [piece.strip() for piece in text.split(",")]
+    if len(parts) != 4:
+        raise error(
+            f"expected four comma-separated counts n11,n12,n21,n22, got {text!r}"
+        )
+    return parts
 
 
 def _parse_count(text: str, error: type[Exception]) -> int:

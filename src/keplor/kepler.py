@@ -6,10 +6,10 @@ series in the eccentricity from Lagrange inversion.  The series converges
 only while the eccentricity stays below max_x x/cosh(x) = 0.6627..., the same
 Laplace limit constant that caps the standardized log odds ratio in
 effect_bounds.  The root of x*tanh(x) = 1 is solved once, here, with
-`numerics.find_root`; `series_radius` and `bound_constants` both derive from
-that one root, so `series_radius()` and `bound_constants().laplace_limit`
-agree bit for bit.  `kepler_solve` keeps its own bracketed Newton loop,
-specialised to the reduced Kepler problem for speed.
+`numerics.find_root`, and `series_radius` is the one evaluation of the
+constant; `bound_constants().laplace_limit` is that value.  `kepler_solve`
+keeps its own bracketed Newton loop, specialised to the reduced Kepler
+problem for speed.
 """
 
 from __future__ import annotations
@@ -243,14 +243,11 @@ def _tanh_root() -> float:
     ).root
 
 
-@lru_cache(maxsize=1)
 def series_radius() -> float:
     """Convergence radius of the eccentricity series: max over x of x/cosh(x).
 
-    The maximizer z solves x*tanh(x) = 1; the radius is z/cosh(z).
-    effect_bounds.bound_constants takes the same z from _tanh_root and
-    evaluates its peak at 0.25*(4z) == z, so the returned value matches
-    bound_constants().laplace_limit bit for bit.
+    The maximizer z solves x*tanh(x) = 1; the radius is z/cosh(z), the
+    Laplace limit constant that bound_constants also reports.
     """
     z = _tanh_root()
     return z / math.cosh(z)

@@ -203,6 +203,5 @@ def normal_quantile(p: float) -> float:
     half_x2 = 0.5 * x * x
     if half_x2 < 700.0:
         pdf = math.exp(-half_x2) / _SQRT_TWO_PI
-        if pdf > 0.0:
-            x -= (normal_cdf(x) - p) / pdf
+        x -= (normal_cdf(x) - p) / pdf
     return x

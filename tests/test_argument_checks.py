@@ -272,7 +272,10 @@ def test_table_file_count_is_checked_by_the_record(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "name",
-    ["_check_probability", "_check_derived", "_check_positive", "_check_finite", "_check_integer"],
+    [
+        "_check_probability", "_check_derived", "_check_positive", "_check_finite",
+        "_check_integer", "_split_counts", "_parse_count",
+    ],
 )
 def test_each_shared_rule_is_defined_once(name):
     shared = getattr(errors, name)

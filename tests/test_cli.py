@@ -310,6 +310,22 @@ class TestCommandDeclarations:
         for row in envelope["results"].get("rows", []):
             assert list(row) == ["abs_error", "eccentric_anomaly", "order"]
 
+    @pytest.mark.parametrize(
+        "counts,echo",
+        [
+            (" 20, 10 ,10,20 ", "20,10,10,20"),
+            ("+5,0_1,007,1", "5,1,7,1"),
+        ],
+    )
+    def test_counts_echo_is_canonical(self, capsys, counts, echo):
+        # Each count is echoed as the integer it was read as, in both formats.
+        code, out, _ = capture(capsys, ["table", "--counts", counts])
+        assert code == 0
+        assert json.loads(out)["inputs"]["counts"] == echo
+        code, out, _ = capture(capsys, ["table", "--counts", counts, "--format", "text"])
+        assert code == 0
+        assert f"input.counts={echo}" in out.splitlines()
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize(
@@ -361,6 +377,29 @@ class TestDomainErrors:
             # The optimal risks 1 - 1e-20 round to 1.0, on either side.
             (["bounds", "--or", "1e40"], "derived risk_exposed 1.0 falls outside (0, 1)"),
             (["bounds", "--or", "1e-40"], "derived risk_unexposed 1.0 falls outside (0, 1)"),
+            # The cohort parameters of a risk pair: 1 / (1 + 1e-100) rounds to 1.0.
+            (
+                ["bounds", "--risk-exposed", "1e-200", "--risk-unexposed", "1e-300"],
+                "derived exposure_cases 1.0 falls outside (0, 1)",
+            ),
+            (
+                [
+                    "bounds", "--risk-exposed", "1e-300", "--risk-unexposed", "0.7",
+                    "--exposure", "0.9999999999999999",
+                ],
+                "derived exposure_controls 1.0 falls outside (0, 1)",
+            ),
+            (
+                ["prior", "wm-pathway", "--or", "1e300", "--risk-exposed", "0.5"],
+                "derived exposure_cases 1.0 falls outside (0, 1)",
+            ),
+            # min_variance_exposure is 1 / (1 + 1e-50) here, with no --exposure
+            # given, and 1 / (1 + 5e-21) with --rr.
+            (
+                ["bounds", "--risk-exposed", "1e-300", "--risk-unexposed", "1e-200"],
+                "derived exposure 1.0 falls outside (0, 1)",
+            ),
+            (["bounds", "--or", "4", "--rr", "1e-20"], "derived exposure 1.0 falls outside (0, 1)"),
         ],
     )
     def test_unrepresentable_derived_values_are_named_as_derived(self, capsys, argv, message):

@@ -241,6 +241,20 @@ class TestConversions:
         with pytest.raises(InconsistentParams, match=r"^derived risk_exposed 1\.0 "):
             cohort_to_risk(cohort)
 
+    @pytest.mark.parametrize(
+        "risk,message",
+        [
+            # exposure_cases = 1 / (1 + 1e-100) rounds to 1.0.
+            (RiskParams(1e-200, 1e-300, 0.5), "derived exposure_cases 1.0 "),
+            # 1 - prevalence = 1 - 0.7 * 2**-53 rounds to the numerator 1 - 2**-53.
+            (RiskParams(1e-300, 0.7, 0.9999999999999999), "derived exposure_controls 1.0 "),
+        ],
+    )
+    def test_derived_exposure_rounding_to_one(self, risk, message):
+        with pytest.raises(InconsistentParams) as excinfo:
+            risk_to_cohort(risk)
+        assert str(excinfo.value) == message + "falls outside (0, 1)"
+
     @given(probs, probs, probs)
     def test_round_trip(self, risk_exposed, risk_unexposed, exposure):
         start = RiskParams(risk_exposed, risk_unexposed, exposure)

@@ -123,6 +123,23 @@ class TestMinimizers:
         with pytest.raises(DomainError):
             min_variance_exposure(2.0, bad)
 
+    @pytest.mark.parametrize(
+        "risk_ratio,odds_ratio,value",
+        [
+            # rr/sqrt(or) = 1e-50 is lost next to 1, so 1/(1 + 1e-50) is 1.0.
+            (1e-100, 1e-100, "1.0"),
+            (1e-20, 4.0, "1.0"),
+            # rr/sqrt(or) overflows to inf, so the minimizer is 0.0.
+            (1e300, 1e-300, "0.0"),
+        ],
+    )
+    def test_exposure_outside_the_unit_interval_is_named_as_derived(
+        self, risk_ratio, odds_ratio, value
+    ):
+        with pytest.raises(InconsistentParams) as excinfo:
+            min_variance_exposure(risk_ratio, odds_ratio)
+        assert str(excinfo.value) == f"derived exposure {value} falls outside (0, 1)"
+
     @given(probs, probs)
     def test_prevalence_is_stationary_and_minimal(self, p, q):
         w_best = min_variance_prevalence(p, q)
