@@ -211,9 +211,14 @@ def _scaled_standardized_effect(log_odds: float, risk: RiskParams) -> float:
 
 
 def summarize_risk(risk: RiskParams) -> EffectSummary:
-    """Bundle the effect measures implied by a risk triple."""
+    """Bundle the effect measures implied by a risk triple.
+
+    InconsistentParams names an odds ratio or sigma that overflows to inf.
+    """
     ratios, log_odds, sigma2 = _risk_effect(risk)
     sigma = math.sqrt(sigma2)
+    _check_derived("odds_ratio", ratios.odds_ratio, math.inf)
+    _check_derived("sigma", sigma, math.inf)
     return EffectSummary(
         odds_ratio=ratios.odds_ratio,
         risk_ratio=ratios.risk_ratio,

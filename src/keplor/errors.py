@@ -106,10 +106,11 @@ def _check_probability(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
-def _check_derived(name: str, value: float) -> None:
-    # A mix of two tiny probabilities can underflow to 0 before it is divided by.
-    if not 0.0 < value < 1.0:
-        raise InconsistentParams(f"derived {name} {value!r} falls outside (0, 1)")
+def _check_derived(name: str, value: float, upper: float = 1.0) -> None:
+    # A mix of two tiny probabilities can underflow to 0 before it is divided
+    # by, and a ratio or spread of tiny risks can overflow (upper = inf).
+    if not 0.0 < value < upper:
+        raise InconsistentParams(f"derived {name} {value!r} falls outside (0, {upper:g})")
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -15,7 +15,6 @@ from .errors import _check_positive, _check_probability
 __all__ = ["Bracket", "RootResult", "find_root", "normal_cdf", "normal_quantile"]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 class Bracket(_Record):
@@ -135,73 +134,16 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-# Rational approximation of the normal quantile (P. J. Acklam, 2003),
-# relative error < 1.15e-9 on its own; one Newton step below tightens it.
-_QA = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_QB = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_QC = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_QD = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_Q_TAIL = 0.02425
-
-
-def _quantile_tail(q: float) -> float:
-    c0, c1, c2, c3, c4, c5 = _QC
-    d0, d1, d2, d3 = _QD
-    num = ((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5
-    den = (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
-    return num / den
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1).
+    """Inverse of normal_cdf on (0, 1): statistics.NormalDist().inv_cdf.
 
-    Acklam's rational approximation refined by one Newton step on normal_cdf.
-    Absolute error measured below 3e-14 for p >= 1e-300; 1.7e-8 at p = 1e-306
-    and 6.8e-8 at p = 5e-324, where x*x/2 >= 700 skips the step.  Above 1/2 it
-    returns -normal_quantile(1 - p): 1 - p is exact there (Sterbenz), while
-    the Newton step would subtract p from a cdf value next to 1.
+    That is Wichura's AS241 (Applied Statistics 37:477, 1988), which forms
+    1 - p itself above 1/2.  Relative error measured at most 7.1e-16 against
+    50-digit values, from p = 5e-324 to 1 - 2**-53.  statistics is imported
+    here, not at the top: it loads fractions and decimal, 5-7 ms that only
+    the commands taking a quantile should pay.
     """
     _check_probability("p", p)
-    if p > 0.5:
-        return -normal_quantile(1.0 - p)
-    if p < _Q_TAIL:
-        x = _quantile_tail(math.sqrt(-2.0 * math.log(p)))
-    else:
-        a0, a1, a2, a3, a4, a5 = _QA
-        b0, b1, b2, b3, b4 = _QB
-        q = p - 0.5
-        r = q * q
-        num = (((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5) * q
-        den = ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
-        x = num / den
-    # One Newton step; skipped in the far tails where the density underflows.
-    half_x2 = 0.5 * x * x
-    if half_x2 < 700.0:
-        pdf = math.exp(-half_x2) / _SQRT_TWO_PI
-        x -= (normal_cdf(x) - p) / pdf
-    return x
+    import statistics
+
+    return statistics.NormalDist().inv_cdf(p)

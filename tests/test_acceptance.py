@@ -245,6 +245,8 @@ def test_criterion_10_cli_contract(capsys):
         ("constants", ["constants"]),
         ("table", ["table", "--counts", "20,10,10,20"]),
         ("verify", ["verify", "--samples", "1000", "--seed", "7"]),
+        # The far tail of the normal quantile, as the standard library rounds it.
+        ("pz", ["pz", "--p", "5e-324"]),
     ]:
         code = run(argv)
         out = capsys.readouterr().out

@@ -17,10 +17,16 @@ from keplor.effect_bounds import (
     min_variance_prevalence,
     optimal_risk,
 )
+from keplor.numerics import normal_quantile
 
 # One ulp of a correctly rounded result is at most 2.2e-16 relative, two ulps
 # are at most 4.4e-16; 4e-16 allows two only on mantissas above 1.11.
 MAX_RELATIVE_ERROR = 4e-16
+# AS241 is accurate to about 1e-16 before rounding, but each branch evaluates
+# two degree-7 polynomials and a quotient in double, which can cost three
+# ulps.  Over 3 random doubles per binade from 2**-1074 to 1/2 and the grid's
+# upper points, the worst error against unrounded 50-digit values was 7.1e-16.
+QUANTILE_MAX_RELATIVE_ERROR = 8e-16
 
 
 def binade_points(lowest, highest):
@@ -38,8 +44,8 @@ def binade_points(lowest, highest):
     return points
 
 
-def within(expected):
-    return pytest.approx(list(expected), rel=MAX_RELATIVE_ERROR, abs=0)
+def within(expected, rel=MAX_RELATIVE_ERROR):
+    return pytest.approx(list(expected), rel=rel, abs=0)
 
 
 def test_ceiling_over_every_binade():
@@ -63,3 +69,9 @@ def test_optimal_risks_where_representable():
 def test_min_variance_prevalence_on_uniform_and_log_spaced_pairs():
     got = [min_variance_prevalence(p, q) for p, q, _ in grid.PREVALENCE]
     assert got == within(expected for _, _, expected in grid.PREVALENCE)
+
+
+def test_normal_quantile_over_every_binade_below_one_half_and_next_to_one():
+    points = binade_points(-1074, -2) + [1.0 - 2.0**-k for k in range(2, 54)]
+    expected = within(grid.NORMAL_QUANTILE, rel=QUANTILE_MAX_RELATIVE_ERROR)
+    assert [normal_quantile(p) for p in points] == expected

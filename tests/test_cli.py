@@ -400,6 +400,16 @@ class TestDomainErrors:
                 "derived exposure 1.0 falls outside (0, 1)",
             ),
             (["bounds", "--or", "4", "--rr", "1e-20"], "derived exposure 1.0 falls outside (0, 1)"),
+            # The design variance 1/(v*re*(1-re)) + ... overflows for risks of
+            # 5e-324, and so does the odds ratio 0.3/0.7 over 5e-324.
+            (
+                ["bounds", "--risk-exposed", "5e-324", "--risk-unexposed", "5e-324"],
+                "derived sigma inf falls outside (0, inf)",
+            ),
+            (
+                ["bounds", "--risk-exposed", "0.3", "--risk-unexposed", "5e-324"],
+                "derived odds_ratio inf falls outside (0, inf)",
+            ),
         ],
     )
     def test_unrepresentable_derived_values_are_named_as_derived(self, capsys, argv, message):
@@ -414,7 +424,7 @@ class TestDomainErrors:
         code, out, err = capture(capsys, argv)
         assert (code, err) == (1, "")
         envelope = json.loads(out)
-        assert envelope["error_message"] == "odds_ratio must be positive and finite, got inf"
+        assert envelope["error_message"] == "derived odds_ratio inf falls outside (0, inf)"
 
 
 class TestSpotValues:
@@ -551,6 +561,7 @@ class TestParserReuse:
 # The library modules each subcommand loads, besides keplor and keplor.cli.
 _BOUNDS_MODULES = ["contingency", "effect_bounds", "errors", "kepler", "numerics"]
 _KEPLER_MODULES = ["errors", "kepler", "numerics"]
+_QUANTILE_MODULES = ["bayes_prior", *_BOUNDS_MODULES, "statistics"]
 
 
 class TestLazyNumpy:
@@ -563,16 +574,18 @@ class TestLazyNumpy:
             ("kepler diverge-table --m 1 --eps 0.5 --max-order 3", 0, _KEPLER_MODULES),
             ("constants", 0, _BOUNDS_MODULES),
             ("bounds --or 4", 0, _BOUNDS_MODULES),
-            ("prior flattest --or-threshold 2 --tail-mass 0.05", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("prior flattest --or-threshold 2 --tail-mass 0.05", 0, _QUANTILE_MODULES),
             ("prior wm-pathway --or 2 --risk-exposed 0.1", 0, ["bayes_prior", *_BOUNDS_MODULES]),
-            ("pz --p 0.05", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("pz --p 0.05", 0, _QUANTILE_MODULES),
             ("verify --samples 10 --seed 1", 0, [*_BOUNDS_MODULES, "numpy"]),
             ("bogus", 2, ["errors"]),
+            ("pz --z 2", 0, ["bayes_prior", *_BOUNDS_MODULES]),
         ],
     )
     def test_each_command_loads_only_what_it_uses(self, subprocess_env, command, code, loaded):
         # The entry point as installed, in a fresh process: the package
-        # namespace is lazy and each command imports its own modules.
+        # namespace is lazy and each command imports its own modules.  Only a
+        # normal quantile imports statistics, with fractions and decimal.
         probe = (
             "import contextlib, io, sys\n"
             "from keplor.cli import main\n"
@@ -582,7 +595,7 @@ class TestLazyNumpy:
             "        main()\n"
             "    except SystemExit as exit:\n"
             "        code = exit.code\n"
-            "names = [m for m in sys.modules if m == 'numpy' or m.startswith('keplor.')]\n"
+            "names = [m for m in sys.modules if m in ('numpy', 'statistics') or m.startswith('keplor.')]\n"
             "print(code, *sorted(name.removeprefix('keplor.') for name in names))\n"
         )
         done = subprocess.run(

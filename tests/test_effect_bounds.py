@@ -248,6 +248,14 @@ class TestStandardizedEffect:
         with pytest.raises(NonFinite, match="underflows to 0"):
             summarize_risk(risks)
 
+    def test_summary_names_an_overflow_as_derived(self):
+        # standardized_effect answers past the double range; the summary
+        # cannot hold an infinite sigma or odds ratio, and says it derived it.
+        with pytest.raises(InconsistentParams, match=r"^derived sigma inf falls outside \(0, inf\)$"):
+            summarize_risk(RiskParams(5e-324, 5e-324, 0.5))
+        with pytest.raises(InconsistentParams, match=r"^derived odds_ratio inf "):
+            summarize_risk(RiskParams(0.3, 5e-324, 0.5))
+
     @pytest.mark.parametrize(
         "risks,expected",
         [
