@@ -158,27 +158,32 @@ class EffectRatios(NamedTuple):
 
 def estimate_proportions(table: TwoByTwoTable) -> Proportions:
     """Row-wise exposure proportions, the case fraction, and the grand total."""
-    return Proportions(
-        exposure_cases=table.n11 / table.cases,
-        exposure_controls=table.n21 / table.controls,
-        case_fraction=table.cases / table.total,
-        total=table.total,
-    )
+    cases = table.cases
+    controls = table.controls
+    total = cases + controls
+    return Proportions(table.n11 / cases, table.n21 / controls, cases / total, total)
 
 
 def _corrected_cells(table: TwoByTwoTable, correction: bool) -> tuple[float, ...]:
-    if not correction and 0 in table.cells():
+    counts = table.cells()
+    if not correction and 0 in counts:
         raise ZeroCell(
             "table contains an empty cell; pass correction=True to add 0.5 "
             "to every cell"
         )
     try:
-        cells = tuple(float(c) for c in table.cells())
+        cells = tuple(map(float, counts))
     except OverflowError:
         raise NonFinite("a count exceeds the double-precision range") from None
     if correction:
         return tuple(c + 0.5 for c in cells)
     return cells
+
+
+def _cells_odds_ratio(cells: tuple[float, ...]) -> OddsRatioEstimate:
+    c11, c12, c21, c22 = cells
+    odds_ratio = (c11 * c22) / (c12 * c21)
+    return OddsRatioEstimate(odds_ratio, _log_odds(odds_ratio))
 
 
 def estimate_odds_ratio(
@@ -189,9 +194,7 @@ def estimate_odds_ratio(
     With ``correction=True`` every cell gets 0.5 added first, which keeps the
     estimate finite in the presence of empty cells.
     """
-    c11, c12, c21, c22 = _corrected_cells(table, correction)
-    odds_ratio = (c11 * c22) / (c12 * c21)
-    return OddsRatioEstimate(odds_ratio=odds_ratio, log_odds=_log_odds(odds_ratio))
+    return _cells_odds_ratio(_corrected_cells(table, correction))
 
 
 def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
@@ -199,11 +202,13 @@ def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
 
     Algebraically identical to sqrt(N) * log_odds / sigma(case_fraction) with
     sigma evaluated at the observed proportions; asymptotically standard
-    normal under the null.
+    normal under the null.  The reciprocals are added left to right, so every
+    Python version gives the same bits (``sum`` is compensated from 3.12).
     """
     cells = _corrected_cells(table, correction)
-    log_odds = estimate_odds_ratio(table, correction).log_odds
-    return log_odds / math.sqrt(sum(1.0 / c for c in cells))
+    c11, c12, c21, c22 = cells
+    log_odds = _cells_odds_ratio(cells).log_odds
+    return log_odds / math.sqrt(1.0 / c11 + 1.0 / c12 + 1.0 / c21 + 1.0 / c22)
 
 
 def cohort_to_risk(cohort: CohortParams) -> RiskParams:

@@ -68,17 +68,23 @@ class _Record:
     """Frozen record: the fields are the subclass's own annotations, in order.
 
     Each subclass gets a generated ``__init__`` with one named parameter per
-    field, ending in ``__post_init__()`` where the class defines one.  The
-    instance ``__dict__`` holds exactly the fields.  A record equals only
-    records of its own class, and hashes as the tuple of its fields.
+    field.  It stores each argument straight into the instance ``__dict__``,
+    in field order, and ends in ``__post_init__()`` where the class defines
+    one.  The instance ``__dict__`` holds exactly the fields.  A record equals
+    only records of its own class, and hashes as the tuple of its fields.
     """
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = fields = tuple(cls.__annotations__)
-        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+        # The dict's local name must not shadow a parameter.
+        store = "_d"
+        while store in fields:
+            store += "_"
+        body = f"\n    {store} = self.__dict__"
+        body += "".join(f"\n    {store}[{name!r}] = {name}" for name in fields)
         if hasattr(cls, "__post_init__"):
             body += "\n    self.__post_init__()"
-        namespace = {"_set": object.__setattr__}
+        namespace: dict = {}
         exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
         cls.__init__ = namespace["__init__"]
 

@@ -152,6 +152,26 @@ class TestEstimators:
         expected = math.log(21.0) / math.sqrt(1 / 10.5 + 1 / 0.5 + 1 / 5.5 + 1 / 5.5)
         assert t == pytest.approx(expected, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "counts,plain,corrected",
+        [
+            # Frozen on CPython 3.11.  From 3.12 ``sum`` of floats is
+            # compensated, which moves the last bit of all six tables (the
+            # first without correction only), so the reciprocals must be added
+            # left to right.
+            ((20, 10, 10, 20), "0x1.43f852125f428p+1", "0x1.3f227c03f4637p+1"),
+            ((24, 44, 48, 53), "-0x1.9251c81195a20p+0", "-0x1.8e929af30c4c7p+0"),
+            ((16, 58, 52, 32), "-0x1.3a82a798d3736p+2", "-0x1.38c9e93e2fbb8p+2"),
+            ((54, 1, 20, 1), "0x1.6196f674aee26p-1", "0x1.a708442c24cf3p-1"),
+            ((5, 3, 28, 13), "-0x1.46b598e7ad6ddp-2", "-0x1.8e184884f8bddp-2"),
+            ((32, 58, 1, 48), "0x1.95919c85632bdp+1", "0x1.af301925dcd5dp+1"),
+        ],
+    )
+    def test_t_bits_are_the_same_on_every_python(self, counts, plain, corrected):
+        table = TwoByTwoTable(*counts)
+        assert t_statistic(table).hex() == plain
+        assert t_statistic(table, correction=True).hex() == corrected
+
     @given(positive_tables)
     def test_t_dual_form(self, table):
         p, q, w, total = estimate_proportions(table)

@@ -117,8 +117,11 @@ def test_record_contract(cls, fields, expected_repr):
     values = tuple(fields.values())
     by_keyword = cls(**fields)
     by_position = cls(*values)
-    for name, value in fields.items():
-        assert getattr(by_position, name) == value
+    for record in (by_keyword, by_position):
+        assert list(vars(record)) == list(fields)
+        for name, value in fields.items():
+            assert vars(record)[name] is value
+            assert getattr(record, name) is value
     assert cls.__match_args__ == tuple(fields)
 
     name = next(iter(fields))
@@ -149,3 +152,16 @@ def test_equality_needs_the_same_class():
     assert Bracket(1.0, 1.5) != Interval(1.0, 1.5)
     assert RiskParams(0.3, 0.2, 0.5) != RiskParams(0.3, 0.2, 0.25)
     assert len({RiskParams(0.3, 0.2, 0.5), RISK}) == 1
+
+
+def test_a_field_may_share_the_name_of_the_generated_local():
+    # The generated __init__ holds the instance dict in a local named "_d",
+    # or with more underscores where a field takes that name.
+    class Shadowed(_Record):
+        _d: int
+        _d_: int
+        rest: int
+
+    record = Shadowed(1, 2, rest=3)
+    assert vars(record) == {"_d": 1, "_d_": 2, "rest": 3}
+    assert repr(record).endswith(".Shadowed(_d=1, _d_=2, rest=3)")
