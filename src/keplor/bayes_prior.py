@@ -4,7 +4,7 @@ A normal prior on the standardized effect is pinned down by one tail
 statement: the probability that the odds ratio exceeds a threshold.  Turning
 that into a prior variance requires an assumed standard deviation for the log
 odds ratio; the attainability ceiling from effect_bounds gives the smallest
-defensible assumption and therefore the flattest (largest-variance) prior.
+defensible assumption, the flattest prior; numerics.p_to_z gives the quantile.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from .effect_bounds import (
     sigma2_by_prevalence,
 )
 from .errors import DomainError, _Record
-from .errors import _check_derived, _check_finite, _check_positive, _check_probability
-from .numerics import normal_cdf, normal_quantile
+from .errors import _check_derived, _check_positive, _check_probability
+# Imported as a pair: perfbench/worker.py also calls bayes_prior.z_to_p.
+from .numerics import p_to_z, z_to_p
 
 __all__ = [
     "PriorSpec",
     "PathwayResult",
-    "p_to_z",
-    "z_to_p",
     "flattest_prior",
     "flattest_sigma",
     "prevalence_pathway",
@@ -58,26 +57,6 @@ class PathwayResult(NamedTuple):
     risk_ratio: float
     prevalence: float
     sigma: float
-
-
-def p_to_z(p_value: float) -> float:
-    """Upper-tail p-value to the normal test statistic.
-
-    Evaluated as -normal_quantile(p_value), never through 1 - p_value, which
-    rounds to 1 below p = 1.1e-16; 0.0 - x keeps z = +0.0 at p = 1/2.
-    """
-    _check_probability("p_value", p_value)
-    return 0.0 - normal_quantile(p_value)
-
-
-def z_to_p(z: float) -> float:
-    """Normal test statistic to its upper-tail p-value.
-
-    normal_cdf(-z) is erfc(z/sqrt 2)/2, which keeps full relative accuracy in
-    the upper tail, where 1 - normal_cdf(z) cancels to 0 past z = 8.3.
-    """
-    _check_finite("z", z)
-    return normal_cdf(-z)
 
 
 def flattest_prior(

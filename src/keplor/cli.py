@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 # The library modules are imported inside each command that calls them, so a
 # one-shot process loads only what its subcommand uses.
-from .errors import DomainError, KeplorError, _check_probability
+from .errors import DomainError, KeplorError, _check_derived, _check_probability
 from .errors import _parse_count, _split_counts
 
 __all__ = ["build_parser", "run", "main"]
@@ -131,6 +131,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         risks = contingency.cohort_to_risk(
             contingency.CohortParams(p, q, prevalence)
         )
+        _check_derived("odds_ratio", odds_ratio, math.inf)
         return {
             "odds_ratio": odds_ratio,
             "max_standardized_effect": effect_bounds.max_standardized_effect(
@@ -221,7 +222,7 @@ def _kepler_diverge_results(args: argparse.Namespace) -> dict:
 
 
 def _prior_flattest_results(args: argparse.Namespace) -> dict:
-    from . import bayes_prior
+    from . import bayes_prior, numerics
 
     smallest = bayes_prior.flattest_sigma(args.or_threshold)
     assumed = args.sigma if args.sigma is not None else smallest
@@ -229,7 +230,7 @@ def _prior_flattest_results(args: argparse.Namespace) -> dict:
     return {
         "assumed_sigma": spec.assumed_sigma,
         "flattest_sigma": smallest,
-        "tail_quantile": bayes_prior.p_to_z(args.tail_mass),
+        "tail_quantile": numerics.p_to_z(args.tail_mass),
         "prior_variance": spec.prior_variance,
     }
 
@@ -251,11 +252,11 @@ def _verify_results(args: argparse.Namespace) -> dict:
 
 
 def _pz_results(args: argparse.Namespace) -> dict:
-    from . import bayes_prior
+    from . import numerics
 
     if args.p is not None:
-        return {"z": bayes_prior.p_to_z(args.p)}
-    return {"p": bayes_prior.z_to_p(args.z)}
+        return {"z": numerics.p_to_z(args.p)}
+    return {"p": numerics.z_to_p(args.z)}
 
 
 def build_parser() -> argparse.ArgumentParser:

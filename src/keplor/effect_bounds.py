@@ -9,7 +9,8 @@ ln(OR)/sigma.  As a function of x = ln(OR) the ceiling is the odd curve
 attained at x = 4z where z solves z*tanh(z) = 1.
 
 `verify_bound` is a brute-force sampling oracle for the ceiling; it is the
-only numpy user in the package and imports numpy on its first call.
+only numpy user in the package and imports numpy on its first call.  Only
+`bound_constants` uses kepler, and imports it the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .contingency import EffectRatios, EffectSummary, RiskParams
 from .contingency import _log_odds, odds_and_risk_ratio
 from .errors import DomainError, _Record
 from .errors import _check_derived, _check_integer, _check_positive, _check_probability
-from .kepler import _tanh_root, series_radius
 
 __all__ = [
     "BoundConstants",
@@ -271,15 +271,17 @@ def bound_constants() -> BoundConstants:
     """Derive the attainment constants from the root z of z*tanh(z) = 1.
 
     z comes from the one find_root solve in kepler, and laplace_limit is
-    kepler.series_radius().  Deterministic, cached.
+    kepler.series_radius().  Deterministic and cached: kepler is imported once.
     """
-    z = _tanh_root()
+    from . import kepler
+
+    z = kepler._tanh_root()
     peak_log_or = 4.0 * z
     return BoundConstants(
         tanh_root=z,
         peak_log_or=peak_log_or,
         peak_or=math.exp(peak_log_or),
-        laplace_limit=series_radius(),
+        laplace_limit=kepler.series_radius(),
         peak_risk=1.0 / (2.0 * z) + 0.5,
     )
 

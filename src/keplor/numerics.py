@@ -1,7 +1,7 @@
-"""Shared numerical kernels: bracketed root finding and normal distribution functions.
+"""Shared numerical kernels: bracketed root finding and the normal tail.
 
-Everything here is a stateless pure function over IEEE-754 doubles, safe to
-call concurrently.
+The tail: normal_cdf, normal_quantile, and p_to_z/z_to_p for P = Pr(Z > z).
+All are stateless pure functions over doubles, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -10,9 +10,17 @@ import math
 from typing import Callable, Optional
 
 from .errors import DomainError, NoConvergence, NonFinite, NoSignChange, _Record
-from .errors import _check_positive, _check_probability
+from .errors import _check_finite, _check_positive, _check_probability
 
-__all__ = ["Bracket", "RootResult", "find_root", "normal_cdf", "normal_quantile"]
+__all__ = [
+    "Bracket",
+    "RootResult",
+    "find_root",
+    "normal_cdf",
+    "normal_quantile",
+    "p_to_z",
+    "z_to_p",
+]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -147,3 +155,23 @@ def normal_quantile(p: float) -> float:
     import statistics
 
     return statistics.NormalDist().inv_cdf(p)
+
+
+def p_to_z(p_value: float) -> float:
+    """Upper-tail p-value to the normal test statistic.
+
+    Evaluated as -normal_quantile(p_value), never through 1 - p_value, which
+    rounds to 1 below p = 1.1e-16; 0.0 - x keeps z = +0.0 at p = 1/2.
+    """
+    _check_probability("p_value", p_value)
+    return 0.0 - normal_quantile(p_value)
+
+
+def z_to_p(z: float) -> float:
+    """Normal test statistic to its upper-tail p-value.
+
+    normal_cdf(-z) is erfc(z/sqrt 2)/2, which keeps full relative accuracy in
+    the upper tail, where 1 - normal_cdf(z) cancels to 0 past z = 8.3.
+    """
+    _check_finite("z", z)
+    return normal_cdf(-z)

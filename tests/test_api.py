@@ -89,6 +89,12 @@ def test_each_name_is_its_home_module_object():
             assert getattr(value, "__module__", module.__name__) == module.__name__
 
 
+def test_prior_module_still_binds_the_tail_conversions():
+    # Their home is numerics; perfbench/worker.py calls them through bayes_prior.
+    assert bayes_prior.p_to_z is numerics.p_to_z
+    assert bayes_prior.z_to_p is numerics.z_to_p
+
+
 def test_dir_covers_all():
     assert set(keplor.__all__) <= set(dir(keplor))
 

@@ -410,6 +410,11 @@ class TestDomainErrors:
                 ["bounds", "--risk-exposed", "0.3", "--risk-unexposed", "5e-324"],
                 "derived odds_ratio inf falls outside (0, inf)",
             ),
+            # The odds ratio of a --p/--q pair, 1e10 over 1e-300, overflows.
+            (
+                ["bounds", "--p", "0.9999999999", "--q", "1e-300", "--prevalence", "1e-290"],
+                "derived odds_ratio inf falls outside (0, inf)",
+            ),
         ],
     )
     def test_unrepresentable_derived_values_are_named_as_derived(self, capsys, argv, message):
@@ -559,9 +564,10 @@ class TestParserReuse:
 
 
 # The library modules each subcommand loads, besides keplor and keplor.cli.
-_BOUNDS_MODULES = ["contingency", "effect_bounds", "errors", "kepler", "numerics"]
+_BOUNDS_MODULES = ["contingency", "effect_bounds", "errors"]
+_CONSTANTS_MODULES = [*_BOUNDS_MODULES, "kepler", "numerics"]
 _KEPLER_MODULES = ["errors", "kepler", "numerics"]
-_QUANTILE_MODULES = ["bayes_prior", *_BOUNDS_MODULES, "statistics"]
+_PRIOR_MODULES = ["bayes_prior", *_BOUNDS_MODULES, "numerics"]
 
 
 class TestLazyNumpy:
@@ -572,14 +578,14 @@ class TestLazyNumpy:
             ("kepler solve --m 1 --eps 0.5", 0, _KEPLER_MODULES),
             ("kepler series --m 1 --eps 0.5 --order 3", 0, _KEPLER_MODULES),
             ("kepler diverge-table --m 1 --eps 0.5 --max-order 3", 0, _KEPLER_MODULES),
-            ("constants", 0, _BOUNDS_MODULES),
+            ("constants", 0, _CONSTANTS_MODULES),
             ("bounds --or 4", 0, _BOUNDS_MODULES),
-            ("prior flattest --or-threshold 2 --tail-mass 0.05", 0, _QUANTILE_MODULES),
-            ("prior wm-pathway --or 2 --risk-exposed 0.1", 0, ["bayes_prior", *_BOUNDS_MODULES]),
-            ("pz --p 0.05", 0, _QUANTILE_MODULES),
-            ("verify --samples 10 --seed 1", 0, [*_BOUNDS_MODULES, "numpy"]),
+            ("prior flattest --or-threshold 2 --tail-mass 0.05", 0, [*_PRIOR_MODULES, "statistics"]),
+            ("prior wm-pathway --or 2 --risk-exposed 0.1", 0, _PRIOR_MODULES),
+            ("pz --p 0.05", 0, ["errors", "numerics", "statistics"]),
+            ("verify --samples 10 --seed 1", 0, [*_CONSTANTS_MODULES, "numpy"]),
             ("bogus", 2, ["errors"]),
-            ("pz --z 2", 0, ["bayes_prior", *_BOUNDS_MODULES]),
+            ("pz --z 2", 0, ["errors", "numerics"]),
         ],
     )
     def test_each_command_loads_only_what_it_uses(self, subprocess_env, command, code, loaded):

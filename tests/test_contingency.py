@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from keplor.contingency import (
     CohortParams,
@@ -276,12 +276,22 @@ class TestConversions:
         assert str(excinfo.value) == message + "falls outside (0, 1)"
 
     @given(probs, probs, probs)
+    @example(0.625, 0.03125, 0.9989999999999999)
     def test_round_trip(self, risk_exposed, risk_unexposed, exposure):
+        # Each value x the round trip forms 1 - x of amplifies a relative
+        # error by x/(1 - x), so the tolerance scales with
+        # kappa = 1 + sum x/(1 - x) over the cohort's three values and the
+        # input exposure.  Over 800,000 uniform and edge-weighted draws in
+        # [0.001, 0.999] the worst error was 3.9 * 2**-53 * kappa.
         start = RiskParams(risk_exposed, risk_unexposed, exposure)
-        back = cohort_to_risk(risk_to_cohort(start))
-        assert back.risk_exposed == pytest.approx(start.risk_exposed, rel=1e-12, abs=0)
-        assert back.risk_unexposed == pytest.approx(start.risk_unexposed, rel=1e-12, abs=0)
-        assert back.exposure == pytest.approx(start.exposure, rel=1e-12, abs=0)
+        cohort = risk_to_cohort(start)
+        back = cohort_to_risk(cohort)
+        values = (cohort.exposure_cases, cohort.exposure_controls, cohort.prevalence, exposure)
+        kappa = 1.0 + sum(x / (1.0 - x) for x in values)
+        rel = 8 * 2.0**-53 * kappa
+        assert back.risk_exposed == pytest.approx(start.risk_exposed, rel=rel, abs=0)
+        assert back.risk_unexposed == pytest.approx(start.risk_unexposed, rel=rel, abs=0)
+        assert back.exposure == pytest.approx(start.exposure, rel=rel, abs=0)
 
     def test_ratio_examples(self):
         assert odds_and_risk_ratio(RiskParams(0.5, 0.2, 0.7)) == (4.0, 2.5)
