@@ -413,13 +413,17 @@ def _format_value(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    # A line break inside a value would end its key=value line early.
+    if text.splitlines() != [text]:
+        return text.encode("unicode_escape").decode("ascii")
+    return text
 
 
 def _render_text(envelope: dict) -> str:
     lines = [f"command={envelope['command']}", f"status={envelope['status']}"]
     if "error_message" in envelope:
-        lines.append(f"error_message={envelope['error_message']}")
+        lines.append(f"error_message={_format_value(envelope['error_message'])}")
     for key in sorted(envelope["inputs"]):
         lines.append(f"input.{key}={_format_value(envelope['inputs'][key])}")
     results = envelope["results"]

@@ -39,13 +39,6 @@ __all__ = [
 _STANDARDIZED_CAP = 0.6627434194
 
 
-def _log_odds(odds_ratio: float) -> float:
-    """math.log, raising NonFinite where an odds ratio underflowed to 0."""
-    if odds_ratio == 0.0:
-        raise NonFinite("odds ratio underflows to 0 in double precision")
-    return math.log(odds_ratio)
-
-
 class TwoByTwoTable(_Record):
     """Counts n11, n12 (cases exposed/unexposed), n21, n22 (controls)."""
 
@@ -181,9 +174,13 @@ def _corrected_cells(table: TwoByTwoTable, correction: bool) -> tuple[float, ...
 
 
 def _cells_odds_ratio(cells: tuple[float, ...]) -> OddsRatioEstimate:
+    """(c11*c22)/(c12*c21) and its log, taken from the cells past the double range."""
     c11, c12, c21, c22 = cells
     odds_ratio = (c11 * c22) / (c12 * c21)
-    return OddsRatioEstimate(odds_ratio, _log_odds(odds_ratio))
+    if 0.0 < odds_ratio < math.inf:
+        return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
+    log_odds = (math.log(c11) + math.log(c22)) - (math.log(c12) + math.log(c21))
+    return OddsRatioEstimate((c11 / c12) * (c22 / c21), log_odds)
 
 
 def estimate_odds_ratio(
@@ -192,7 +189,9 @@ def estimate_odds_ratio(
     """Cross-product odds ratio (n11*n22)/(n12*n21) and its natural log.
 
     With ``correction=True`` every cell gets 0.5 added first, which keeps the
-    estimate finite in the presence of empty cells.
+    estimate finite in the presence of empty cells.  Where a cross product
+    leaves the double range, the log odds is the sum of the cells' logs and
+    the odds ratio is (n11/n12)*(n22/n21), rounded to 0.0, inf or a double.
     """
     return _cells_odds_ratio(_corrected_cells(table, correction))
 

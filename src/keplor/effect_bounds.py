@@ -20,7 +20,7 @@ import sys
 from functools import lru_cache
 
 from .contingency import EffectRatios, EffectSummary, RiskParams
-from .contingency import _log_odds, odds_and_risk_ratio
+from .contingency import odds_and_risk_ratio
 from .errors import DomainError, _Record
 from .errors import _check_derived, _check_integer, _check_positive, _check_probability
 
@@ -176,15 +176,15 @@ def standardized_effect(risk: RiskParams) -> float:
 def _risk_effect(risk: RiskParams) -> tuple[EffectRatios, float, float]:
     """The ratios, ln(odds ratio) and variance factor of a risk triple.
 
-    Where the odds ratio overflowed or is subnormal, so that it keeps no or
-    only a few significant bits, the log is the difference of the logits.
+    Where the odds ratio is 0, subnormal or inf, so that it keeps no or only
+    a few significant bits, the log is the difference of the logits.
     """
     ratios = odds_and_risk_ratio(risk)
     re_, ru = risk.risk_exposed, risk.risk_unexposed
-    if math.isinf(ratios.odds_ratio) or 0.0 < ratios.odds_ratio < sys.float_info.min:
-        log_odds = (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
+    if sys.float_info.min <= ratios.odds_ratio < math.inf:
+        log_odds = math.log(ratios.odds_ratio)
     else:
-        log_odds = _log_odds(ratios.odds_ratio)
+        log_odds = (math.log(re_) - math.log1p(-re_)) - (math.log(ru) - math.log1p(-ru))
     return ratios, log_odds, _variance_factor(risk.exposure, re_, ru)
 
 

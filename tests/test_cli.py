@@ -64,6 +64,12 @@ class TestFormats:
         assert "input.m=1.0" in lines
         assert any(line.startswith("result.eccentric_anomaly=1.498701") for line in lines)
 
+    def test_text_golden(self, capsys):
+        argv = ["kepler", "diverge-table", "--m", "1.5707963", "--eps", "0.8", "--max-order", "3"]
+        code, out, err = capture(capsys, argv + ["--format", "text"])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "diverge-table.txt").read_text()
+
     def test_json_parses_and_sorted(self, capsys):
         code, out, _ = capture(
             capsys,
@@ -109,6 +115,16 @@ class TestTableFileMode:
         bad.write_text("1 2 three 4")
         code, out, _ = capture(capsys, ["table", "--file", str(bad)])
         assert code == 1
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_line_break_in_path_keeps_one_pair_per_line(self, capsys, tmp_path, brk):
+        path = str(tmp_path / f"no{brk}such")
+        code, out, err = capture(capsys, ["table", "--file", path, "--format", "text"])
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert all("=" in line for line in lines)
+        escaped = path.encode("unicode_escape").decode("ascii")
+        assert f"input.file={escaped}" in lines
 
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -339,11 +355,10 @@ class TestDomainErrors:
             ["prior", "flattest", "--or-threshold", "0.5", "--tail-mass", "0.025"],
             ["verify", "--samples", "0", "--seed", "1"],
             ["kepler", "diverge-table", "--m", "1", "--eps", "0.3", "--max-order", "0"],
-            # Past the double range: a count, the cross product, a variance
-            # denominator, a pooled exposure and an odds ratio.
+            # Past the double range: a count, a variance denominator, a
+            # pooled exposure and an odds ratio.
             ["table", "--counts", f"{10**400},1,1,1"],
             ["table", "--counts", f"{10**400},1,1,1", "--correction"],
-            ["table", "--counts", f"2,{10**200},{10**200},1000"],
             ["bounds", "--risk-exposed", "0.9999999999999999", "--risk-unexposed", "5e-324"],
             ["bounds", "--p", "5e-324", "--q", "5e-324"],
             [
@@ -414,6 +429,14 @@ class TestDomainErrors:
             (
                 ["bounds", "--p", "0.9999999999", "--q", "1e-300", "--prevalence", "1e-290"],
                 "derived odds_ratio inf falls outside (0, inf)",
+            ),
+            # The odds ratio 5e-324 / 9.38 of this risk pair underflows to 0.
+            (
+                [
+                    "bounds", "--risk-exposed", "5e-324", "--risk-unexposed",
+                    "0.9037397020443425", "--exposure", "1e-17",
+                ],
+                "derived odds_ratio 0.0 falls outside (0, inf)",
             ),
         ],
     )
@@ -499,11 +522,32 @@ class TestSpotValues:
         assert results["tail_quantile"] == pytest.approx(8.493793224109599, rel=1e-14, abs=0)
 
     def test_overflowing_odds_ratio_stays_ok(self, capsys):
+        # n11*n22 overflows: the odds ratio is inf, and its log and t come
+        # from the cells (50-digit values rounded once to double).
         code, out, _ = capture(capsys, ["table", "--counts", f"{10**200},1,1,{10**200}"])
         assert code == 0
         results = json.loads(out)["results"]
         assert results["odds_ratio"] == math.inf
-        assert results["log_odds"] == math.inf
+        assert results["log_odds"] == pytest.approx(
+            921.03403719761827360719658187374568304044059545151, rel=1e-15, abs=0
+        )
+        assert results["t_statistic"] == pytest.approx(
+            651.26941340605873784529292219885742802960505522282, rel=1e-15, abs=0
+        )
+
+    def test_underflowing_odds_ratio_stays_ok(self, capsys):
+        # n12*n21 overflows: the odds ratio rounds to 0, and its log and t
+        # come from the cells (50-digit values rounded once to double).
+        code, out, _ = capture(capsys, ["table", "--counts", f"2,{10**200},{10**200},1000"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["odds_ratio"] == 0.0
+        assert results["log_odds"] == pytest.approx(
+            -913.43313473807619124572537538823441384956179085126, rel=1e-15, abs=0
+        )
+        assert results["t_statistic"] == pytest.approx(
+            -1290.4996724005492970077191603117866542566316713131, rel=1e-15, abs=0
+        )
 
     def test_wm_pathway(self, capsys):
         code, out, _ = capture(capsys, ["prior", "wm-pathway", "--or", "4", "--risk-exposed", "0.5"])
@@ -724,8 +768,43 @@ _ARGVS = st.one_of(
 )
 
 
+class _Constant(str):
+    """A NaN, Infinity or -Infinity in JSON output, kept as its name."""
+
+
+_TEXT_NAMES = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def _envelope_pairs(out, text):
+    """The envelope as the key=value pairs of the text format.
+
+    Values are strings in text and JSON values otherwise, with each
+    non-finite JSON constant named as text names it.
+    """
+    if text:
+        lines = out.splitlines()
+        assert all("=" in line for line in lines)
+        return dict(line.split("=", 1) for line in lines)
+    envelope = json.loads(out, parse_constant=_Constant)
+    assert isinstance(envelope, dict)
+    pairs = {f"input.{key}": value for key, value in envelope["inputs"].items()}
+    for key, value in envelope["results"].items():
+        if isinstance(value, list):
+            for index, row in enumerate(value):
+                for field, item in row.items():
+                    pairs[f"result.{key}[{index}].{field}"] = item
+        else:
+            pairs[f"result.{key}"] = value
+    return {
+        key: _TEXT_NAMES[value] if isinstance(value, _Constant) else value
+        for key, value in pairs.items()
+    }
+
+
 class TestEnvelopeContract:
     @given(argv=_ARGVS, text=st.booleans())
+    @example(argv=["table", f"--counts={10**200},{10**200},{10**200},{10**200}"], text=False)
+    @example(argv=["table", f"--counts={10**200},{10**200},{10**200},{10**200}"], text=True)
     @example(argv=["table", f"--counts={10**400},1,1,1"], text=False)
     @example(argv=["table", f"--counts={10**400},1,1,1", "--correction"], text=False)
     @example(argv=["table", f"--counts=2,{10**200},{10**200},1000"], text=False)
@@ -754,5 +833,12 @@ class TestEnvelopeContract:
             return
         if text:
             assert out.getvalue().count("\nstatus=") == 1
-        else:
-            assert isinstance(json.loads(out.getvalue()), dict)
+        # Inputs echo the argv, which may say nan or inf.  No result is nan,
+        # and only a table's odds ratio may be inf.
+        non_finite = {
+            key: value
+            for key, value in _envelope_pairs(out.getvalue(), text).items()
+            if key.startswith("result.") and value in ("nan", "inf", "-inf")
+        }
+        assert non_finite in ({}, {"result.odds_ratio": "inf"})
+        assert not non_finite or argv[0] == "table"

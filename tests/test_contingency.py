@@ -104,17 +104,23 @@ class TestEstimators:
             estimate_odds_ratio(TwoByTwoTable(10**400, 0, 1, 1))
 
     def test_cross_product_underflow(self):
-        with pytest.raises(NonFinite, match="underflows to 0"):
-            estimate_odds_ratio(TwoByTwoTable(2, 10**200, 10**200, 1000))
+        # The quotient 2e-397 rounds to 0, so the log comes from the cells.
+        estimate = estimate_odds_ratio(TwoByTwoTable(2, 10**200, 10**200, 1000))
+        assert estimate.odds_ratio == 0.0
+        assert estimate.log_odds == pytest.approx(
+            -913.43313473807619124572537538823441384956179085126, rel=1e-15, abs=0
+        )
 
     @pytest.mark.parametrize(
         "counts,expected",
         [
-            # 50-digit values rounded once to double.  A table's odds ratio
-            # can only be subnormal near the top of that range (the
-            # denominator is at most the largest double), where the quotient
-            # still holds 48 or more bits, so its log is correctly rounded; a
-            # sum of the cells' logs would be an ulp off on these.
+            # 50-digit values rounded once to double.  The log of the
+            # quotient is taken while it is a positive finite double.  It can
+            # only be subnormal near the top of that range (the denominator
+            # is at most the largest double), where it still holds 48 or more
+            # bits, so its log is correctly rounded; a sum of the cells' logs
+            # would be an ulp off on these.  Past the range a cross product
+            # overflowed and the quotient is 0, inf or nan (see below).
             ((1, 10**154, 10**154, 1), -709.1962086421661),
             ((1, 31 * 10**152, 153 * 10**152, 1), -708.4502933960674),
             ((1, 45 * 10**152, 186 * 10**152, 1), -709.0182774336735),
@@ -124,6 +130,56 @@ class TestEstimators:
         estimate = estimate_odds_ratio(TwoByTwoTable(*counts))
         assert 0.0 < estimate.odds_ratio < sys.float_info.min
         assert estimate.log_odds == expected
+
+    @pytest.mark.parametrize("correction", [False, True])
+    @pytest.mark.parametrize(
+        "counts,odds_ratio,log_odds,t",
+        [
+            # 50-digit log odds and t statistics, for cells with and without
+            # the 0.5 added (equal to 50 digits for the first and last
+            # tables).  Cross products overflow, so the quotient is nan, inf,
+            # 0 and inf in turn; the odds ratio is reported as
+            # (c11/c12)*(c22/c21), which is finite for the first and last.
+            ((10**200,) * 4, 1.0, (0.0, 0.0), (0.0, 0.0)),
+            (
+                (10**200, 1, 1, 10**200),
+                math.inf,
+                (
+                    921.03403719761827360719658187374568304044059545151,
+                    920.22310698140194484324055564281698476729661460458,
+                ),
+                (
+                    651.26941340605873784529292219885742802960505522282,
+                    796.93658779533930154905097188506750548169977957716,
+                ),
+            ),
+            (
+                (2, 10**200, 10**200, 1000),
+                0.0,
+                (
+                    -913.43313473807619124572537538823441384956179085126,
+                    -913.20949131172033044204501668234121510848161057938,
+                ),
+                (
+                    -1290.4996724005492970077191603117866542566316713131,
+                    -1442.1103737346892729598673458396800128314339269749,
+                ),
+            ),
+            # The two sums of logs, 736.8 and 690.8, cancel to 46.05.
+            (
+                (10**160, 10**150, 10**150, 10**160),
+                1e20,
+                (46.051701859880913680359829093687284152022029772575,) * 2,
+                (3.2563470668674763358871612280333099024745522353602e76,) * 2,
+            ),
+        ],
+    )
+    def test_cross_products_past_double_range(self, counts, odds_ratio, log_odds, t, correction):
+        table = TwoByTwoTable(*counts)
+        estimate = estimate_odds_ratio(table, correction)
+        assert estimate.odds_ratio == pytest.approx(odds_ratio, rel=1e-15, abs=0)
+        assert estimate.log_odds == pytest.approx(log_odds[correction], rel=1e-15, abs=0)
+        assert t_statistic(table, correction) == pytest.approx(t[correction], rel=1e-15, abs=0)
 
     def test_corrected_odds_ratio(self):
         estimate = estimate_odds_ratio(TwoByTwoTable(10, 0, 5, 5), correction=True)

@@ -23,7 +23,7 @@ from keplor.effect_bounds import (
     summarize_risk,
     verify_bound,
 )
-from keplor.errors import DomainError, InconsistentParams, NonFinite
+from keplor.errors import DomainError, InconsistentParams
 
 # Frozen oracles: 50-digit evaluations rounded once to double.
 TANH_ROOT = 1.1996786402577337
@@ -242,10 +242,16 @@ class TestStandardizedEffect:
         assert abs(value - 0.662743) < 1e-6
 
     def test_odds_ratio_underflow(self):
+        # The odds ratio 5e-324 / 9.38 rounds to 0, so its log is the
+        # difference of the logits (50-digit value rounded once to double).
+        # The summary cannot hold a zero odds ratio, and says it derived it.
         risks = RiskParams(5e-324, 0.9037397020443425, 1e-17)
-        with pytest.raises(NonFinite, match="underflows to 0"):
-            standardized_effect(risks)
-        with pytest.raises(NonFinite, match="underflows to 0"):
+        assert standardized_effect(risks) == pytest.approx(
+            -5.2483959269179529687217852624591530083443631901519e-168, rel=1e-15, abs=0
+        )
+        with pytest.raises(
+            InconsistentParams, match=r"^derived odds_ratio 0\.0 falls outside \(0, inf\)$"
+        ):
             summarize_risk(risks)
 
     def test_summary_names_an_overflow_as_derived(self):
