@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from .contingency import EffectRatios, EffectSummary, RiskParams
 from .contingency import odds_and_risk_ratio
-from .errors import DomainError, _Record
-from .errors import _check_derived, _check_integer, _check_positive, _check_probability
+from .errors import _Record, _check_derived, _check_finite
+from .errors import _check_integer, _check_positive, _check_probability
 
 __all__ = [
     "BoundConstants",
@@ -241,28 +241,24 @@ def max_standardized_effect(odds_ratio: float) -> float:
 
 def bound_curve(log_odds: float) -> float:
     """The ceiling as an odd function of x = ln(or): (x/4)*sech(x/4)."""
-    if math.isnan(log_odds):
-        raise DomainError("bound_curve requires a non-NaN argument")
+    _check_finite("log_odds", log_odds)
     t = 0.25 * log_odds
     a = abs(t)
     if a < 350.0:
         return t / math.cosh(t)
-    # sech via decaying exponentials; underflows cleanly to +-0.0.
-    e = math.exp(-a)
-    return math.copysign(2.0 * a * e / (1.0 + e * e), t)
+    # Past |t| = 350, sech(t) is 2*exp(-|t|) to within a double.
+    return math.copysign(2.0 * a * math.exp(-a), t)
 
 
 def bound_curve_derivative(log_odds: float) -> float:
     """Derivative of bound_curve: (4 - x*tanh(x/4)) * sech(x/4) / 16."""
-    if math.isnan(log_odds):
-        raise DomainError("bound_curve_derivative requires a non-NaN argument")
+    _check_finite("log_odds", log_odds)
     t = 0.25 * log_odds
     a = abs(t)
     if a < 350.0:
         sech = 1.0 / math.cosh(t)
     else:
-        e = math.exp(-a)
-        sech = 2.0 * e / (1.0 + e * e)
+        sech = 2.0 * math.exp(-a)
     return (4.0 - log_odds * math.tanh(t)) * sech / 16.0
 
 
@@ -291,10 +287,10 @@ def _check_chunk(points, llc: float, columns, scratch) -> tuple[int, int, float]
 
     `points` holds the drawn (rows, 3) triples.  `columns` (3, rows) and
     `scratch` (4, rows) are buffers reused across chunks, with at least as
-    many rows.  Each step is the ufunc the plain expression would apply, on
-    the same operands and in the same order, written into a contiguous
-    scratch row instead of a fresh temporary, so the results are the same
-    bit for bit.
+    many rows.  Each step writes a contiguous scratch row instead of a fresh
+    temporary, and gives the values the plain expression gives, bit for bit:
+    |a/b| = |a|/b for b > 0, and past the curve or past the limit is past
+    the smaller of the two.
     """
     import numpy as np
 
@@ -327,27 +323,25 @@ def _check_chunk(points, llc: float, columns, scratch) -> tuple[int, int, float]
     np.divide(1.0, term, out=term)
     np.add(gamma_abs, term, out=gamma_abs)
 
-    # gamma_abs = |log_odds / sqrt(sigma2)|
+    # gamma_abs = |log_odds| / sqrt(sigma2), with |log_odds| kept for the curve
+    np.abs(log_odds, out=log_odds)
     np.sqrt(gamma_abs, out=gamma_abs)
     np.divide(log_odds, gamma_abs, out=gamma_abs)
-    np.abs(gamma_abs, out=gamma_abs)
 
     # |max_standardized_effect(or)| = bound_curve(|ln or|), branch-free here:
-    # quarter / cosh(quarter) with quarter = |log_odds| / 4, plus the slack.
-    quarter = np.abs(log_odds, out=log_odds)
-    np.divide(quarter, 4.0, out=quarter)
+    # quarter / cosh(quarter) with quarter = |log_odds| / 4, plus the slack,
+    # and capped at the Laplace limit plus the slack.
+    quarter = np.divide(log_odds, 4.0, out=log_odds)
     np.cosh(quarter, out=term)
     np.divide(quarter, term, out=term)
     np.add(term, 1e-12, out=term)
+    np.minimum(term, llc + 1e-12, out=term)
 
-    # The bytes of the spent `other` row hold the two violation flag rows.
-    flags = other.view(np.bool_)
-    above_curve, above_limit = flags[:n], flags[n : 2 * n]
-    np.greater(gamma_abs, term, out=above_curve)
-    np.greater(gamma_abs, llc + 1e-12, out=above_limit)
-    np.logical_or(above_curve, above_limit, out=above_curve)
+    # The bytes of the spent `other` row hold the violation flags.
+    violated = other.view(np.bool_)[:n]
+    np.greater(gamma_abs, term, out=violated)
     top = int(np.argmax(gamma_abs))
-    return int(np.count_nonzero(above_curve)), top, float(gamma_abs[top])
+    return int(np.count_nonzero(violated)), top, float(gamma_abs[top])
 
 
 def verify_bound(n_samples: int, seed: int) -> VerificationReport:
@@ -356,8 +350,8 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     Half the triples are uniform over the open unit cube, half are Gaussian
     jitter (s.d. 0.02) around the attainment point so the empirical maximum
     closes in on the Laplace limit.  A triple counts as a violation when
-    |gamma| exceeds |max_standardized_effect(or)| + 1e-12 or the Laplace
-    limit + 1e-12.  Deterministic for a given (n_samples, seed).
+    |gamma| exceeds the smaller of |max_standardized_effect(or)| + 1e-12 and
+    the Laplace limit + 1e-12.  Deterministic for a given (n_samples, seed).
 
     Triples are drawn and checked _CHUNK rows at a time into one set of
     buffers allocated per call, keeping only running totals, so memory stays

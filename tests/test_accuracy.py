@@ -13,6 +13,8 @@ import pytest
 import accuracy_grid as grid
 from keplor.bayes_prior import flattest_sigma
 from keplor.effect_bounds import (
+    bound_curve,
+    bound_curve_derivative,
     max_standardized_effect,
     min_variance_prevalence,
     optimal_risk,
@@ -27,6 +29,13 @@ MAX_RELATIVE_ERROR = 4e-16
 # ulps.  Over 3 random doubles per binade from 2**-1074 to 1/2 and the grid's
 # upper points, the worst error against unrounded 50-digit values was 7.1e-16.
 QUANTILE_MAX_RELATIVE_ERROR = 8e-16
+# The curve pair's far branches, |x| >= 1400, at log odds that are doubles.
+FAR_TAIL = [1400.5, 2000.0, 2500.25, 2900.0, 2975.0, 2983.0]
+# Past |t| = 708.4 the far branches' exp(-|t|) is itself subnormal, off by up
+# to half a step of 2**-1074, and the curve multiplies it by 2|t| = |x|/2,
+# the derivative by about |x|/8.  So a result below 2**-1022 is held to
+# |x|/4 + 1 steps, or |x|/16 + 1 for the derivative: one step near x = 0.
+SUBNORMAL_STEP = 2.0**-1074
 
 
 def binade_points(lowest, highest):
@@ -46,6 +55,17 @@ def binade_points(lowest, highest):
 
 def within(expected, rel=MAX_RELATIVE_ERROR):
     return pytest.approx(list(expected), rel=rel, abs=0)
+
+
+def within_each(expected, rels, steps):
+    """Each value to its own relative error, or below 2**-1022 to its own
+    count of subnormal steps."""
+    return [
+        pytest.approx(e, rel=0, abs=step * SUBNORMAL_STEP)
+        if abs(e) < 2.0**-1022
+        else pytest.approx(e, rel=rel, abs=0)
+        for e, rel, step in zip(expected, rels, steps)
+    ]
 
 
 def test_ceiling_over_every_binade():
@@ -75,3 +95,25 @@ def test_normal_quantile_over_every_binade_below_one_half_and_next_to_one():
     points = binade_points(-1074, -2) + [1.0 - 2.0**-k for k in range(2, 54)]
     expected = within(grid.NORMAL_QUANTILE, rel=QUANTILE_MAX_RELATIVE_ERROR)
     assert [normal_quantile(p) for p in points] == expected
+
+
+def test_bound_curve_over_every_binade_and_the_far_tail():
+    points = binade_points(-1074, 11) + FAR_TAIL
+    got = [bound_curve(x) for x in points]
+    rels = [MAX_RELATIVE_ERROR] * len(points)
+    assert got == within_each(grid.BOUND_CURVE, rels, [abs(x) / 4 + 1 for x in points])
+    assert [-bound_curve(-x) for x in points] == got
+
+
+def test_bound_curve_derivative_to_its_condition_number():
+    # 4 - x*tanh(x/4) cancels near the peak x = 4z, with condition number
+    # kappa = |x*tanh(x/4)| / |4 - x*tanh(x/4)|.
+    points = binade_points(-1074, 11) + FAR_TAIL
+    rels = []
+    for x in points:
+        slope = x * math.tanh(x / 4)
+        rels.append(4 * 2.0**-53 * (1 + abs(slope) / abs(4 - slope)))
+    got = [bound_curve_derivative(x) for x in points]
+    steps = [abs(x) / 16 + 1 for x in points]
+    assert got == within_each(grid.BOUND_CURVE_DERIVATIVE, rels, steps)
+    assert [bound_curve_derivative(-x) for x in points] == got

@@ -370,10 +370,12 @@ class TestBoundCurve:
         assert abs(bound_curve_derivative(x) - finite_difference) < 1e-6
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            bound_curve(math.nan)
-        with pytest.raises(DomainError):
-            bound_curve_derivative(math.nan)
+        # Infinite log odds are rejected too, as max_standardized_effect(inf) is.
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="log_odds must be finite"):
+                bound_curve(x)
+            with pytest.raises(DomainError, match="log_odds must be finite"):
+                bound_curve_derivative(x)
 
 
 class TestMaxStandardizedEffect:
