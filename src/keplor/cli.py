@@ -53,7 +53,10 @@ _ROUTING = frozenset(
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """Echo every supplied option by dest name, or_value as "or"."""
+    """Echo each option that has a value, defaults such as tol included.
+
+    Keys are dest names, with or_value as "or"; routing dests are skipped.
+    """
     inputs: dict[str, Any] = {}
     for dest, value in vars(args).items():
         if dest in _ROUTING or value is None:

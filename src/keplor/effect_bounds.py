@@ -246,8 +246,14 @@ def bound_curve(log_odds: float) -> float:
     a = abs(t)
     if a < 350.0:
         return t / math.cosh(t)
-    # Past |t| = 350, sech(t) is 2*exp(-|t|) to within a double.
-    return math.copysign(2.0 * a * math.exp(-a), t)
+    # Past |t| = 350, sech(t) is 2*exp(-|t|) to within a double.  Where that
+    # exponential is subnormal, (2|t|*e)*e with e = exp(-|t|/2) keeps every
+    # factor normal, so only the last product rounds to the subnormal grid.
+    e = math.exp(-a)
+    if e < 2.0**-1022:
+        e = math.exp(-0.5 * a)
+        return math.copysign(2.0 * a * e * e, t)
+    return math.copysign(2.0 * a * e, t)
 
 
 def bound_curve_derivative(log_odds: float) -> float:
@@ -259,6 +265,10 @@ def bound_curve_derivative(log_odds: float) -> float:
         sech = 1.0 / math.cosh(t)
     else:
         sech = 2.0 * math.exp(-a)
+        if sech < 2.0**-1021:
+            # exp(-|t|) is subnormal: split it as bound_curve does.
+            e = math.exp(-0.5 * a)
+            return (4.0 - log_odds * math.tanh(t)) * (2.0 * e) / 16.0 * e
     return (4.0 - log_odds * math.tanh(t)) * sech / 16.0
 
 

@@ -104,7 +104,7 @@ CASES = [
     ),
     # numerics
     (
-        lambda: find_root(math.sin, Bracket(3.0, 4.0), tol=math.nan),
+        lambda: find_root(math.sin, Bracket(3.0, 4.0), tol=math.nan, fprime=math.cos),
         DomainError,
         "tol must be positive and finite, got nan",
     ),
@@ -285,7 +285,8 @@ def test_each_shared_rule_is_defined_once(name):
 
 class TestUnreachedBranches:
     def test_find_root_returns_a_zero_upper_endpoint(self):
-        assert find_root(lambda x: x - 2.0, Bracket(1.0, 2.0)) == RootResult(2.0, 0.0, 0)
+        result = find_root(lambda x: x - 2.0, Bracket(1.0, 2.0), fprime=lambda x: 1.0)
+        assert result == RootResult(2.0, 0.0, 0)
 
     def test_find_root_stops_on_the_bracket_width(self):
         # A jump never brings |f| under tol; with a zero slope every step

@@ -513,8 +513,9 @@ class TestSpotValues:
         # Far upper tails, where going through 1 - x rounds to 0 or 1.
         code, out, _ = capture(capsys, ["pz", "--z", "10"])
         assert code == 0
+        # The bound of normal_cdf in test_accuracy.py.
         assert json.loads(out)["results"]["p"] == pytest.approx(
-            7.619853024160525e-24, rel=1e-13, abs=0
+            7.619853024160525e-24, rel=6e-16, abs=0
         )
         argv = ["prior", "flattest", "--or-threshold", "2", "--tail-mass", "1e-17"]
         code, out, _ = capture(capsys, argv)

@@ -34,7 +34,10 @@ class TestBracket:
 class TestFindRoot:
     def test_tanh_root(self):
         result = find_root(
-            lambda x: x * math.tanh(x) - 1.0, Bracket(1.0, 1.5), tol=1e-14
+            lambda x: x * math.tanh(x) - 1.0,
+            Bracket(1.0, 1.5),
+            tol=1e-14,
+            fprime=lambda x: math.tanh(x) + x / math.cosh(x) ** 2,
         )
         assert abs(result.root - TANH_ROOT) < 1e-8
         assert abs(result.root - TANH_ROOT) < 1e-13
@@ -42,17 +45,19 @@ class TestFindRoot:
         assert 1.0 <= result.root <= 1.5
 
     def test_sqrt_two(self):
-        result = find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0))
+        result = find_root(
+            lambda x: x * x - 2.0, Bracket(1.0, 2.0), fprime=lambda x: 2.0 * x
+        )
         assert abs(result.root - math.sqrt(2.0)) < 1e-12
         assert result.residual <= 1e-12
 
     def test_odd_function_symmetric_bracket(self):
-        result = find_root(lambda x: x, Bracket(-1.0, 1.0))
+        result = find_root(lambda x: x, Bracket(-1.0, 1.0), fprime=lambda x: 1.0)
         assert result.root == 0.0
         assert result.residual == 0.0
 
     def test_root_at_endpoint(self):
-        result = find_root(lambda x: x, Bracket(0.0, 1.0))
+        result = find_root(lambda x: x, Bracket(0.0, 1.0), fprime=lambda x: 1.0)
         assert result.root == 0.0
         assert result.iterations == 0
 
@@ -69,20 +74,26 @@ class TestFindRoot:
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
-            find_root(lambda x: x * x - 2.0, Bracket(2.0, 3.0))
+            find_root(
+                lambda x: x * x - 2.0, Bracket(2.0, 3.0), fprime=lambda x: 2.0 * x
+            )
 
     def test_non_finite_evaluation(self):
         with pytest.raises(NonFinite):
-            find_root(lambda x: math.nan, Bracket(0.0, 1.0))
+            find_root(lambda x: math.nan, Bracket(0.0, 1.0), fprime=lambda x: 0.0)
 
     def test_exhausted_budget(self):
-        with pytest.raises(NoConvergence):
-            find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0), max_iter=1)
+        # Newton closes on the triple root only linearly, by a third per
+        # step, so 100 iterations leave |x**3| far above tol.
+        with pytest.raises(NoConvergence, match="in 100 iterations"):
+            find_root(
+                lambda x: x**3, Bracket(-1.0, 2.0), tol=1e-300, fprime=lambda x: 3 * x * x
+            )
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError):
-            find_root(lambda x: x, Bracket(-1.0, 1.0), tol=tol)
+            find_root(lambda x: x, Bracket(-1.0, 1.0), tol=tol, fprime=lambda x: 1.0)
 
     @given(
         root=st.floats(-10.0, 10.0, allow_nan=False),
@@ -94,7 +105,10 @@ class TestFindRoot:
         def f(x):
             return (x - root) ** 3 + (x - root)
 
-        result = find_root(f, Bracket(root - left, root + right))
+        def fprime(x):
+            return 3 * (x - root) ** 2 + 1
+
+        result = find_root(f, Bracket(root - left, root + right), fprime=fprime)
         assert abs(result.root - root) <= 1.01e-12
         assert root - left <= result.root <= root + right
 
