@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Rows drawn and evaluated at once by verify_bound.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 class BoundConstants(_Record):
@@ -292,21 +292,19 @@ def bound_constants() -> BoundConstants:
     )
 
 
-def _check_chunk(points, llc: float, columns, scratch) -> tuple[int, int, float]:
-    """Clip one chunk into `columns`; return (violations, argmax row, max |gamma|).
+def _check_chunk(columns, llc: float, scratch) -> tuple[int, int, float]:
+    """Return (violations, argmax row, max |gamma|) of one chunk of triples.
 
-    `points` holds the drawn (rows, 3) triples.  `columns` (3, rows) and
-    `scratch` (4, rows) are buffers reused across chunks, with at least as
-    many rows.  Each step writes a contiguous scratch row instead of a fresh
-    temporary, and gives the values the plain expression gives, bit for bit:
-    |a/b| = |a|/b for b > 0, and past the curve or past the limit is past
-    the smaller of the two.
+    `columns` (3, n) holds the chunk's clipped risk_exposed, risk_unexposed
+    and exposure rows, and is only read.  `scratch` (4, rows) is a buffer
+    reused across chunks, with at least n rows.  Each step writes a
+    contiguous scratch row instead of a fresh temporary, and gives the values
+    the plain expression gives, bit for bit: |a/b| = |a|/b for b > 0, and
+    past the curve or past the limit is past the smaller of the two.
     """
     import numpy as np
 
-    n = len(points)
-    columns = columns[:, :n]
-    np.clip(points.T, 1e-12, 1.0 - 1e-12, out=columns)
+    n = columns.shape[1]
     risk_exposed, risk_unexposed, exposure = columns
     log_odds, gamma_abs, term, other = scratch[:, :n]
 
@@ -375,12 +373,14 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
     constants = bound_constants()
     llc = constants.laplace_limit
     rng = np.random.default_rng(seed)
-    center = np.array([constants.peak_risk, 1.0 - constants.peak_risk, 0.5])
+    center = np.array([[constants.peak_risk], [1.0 - constants.peak_risk], [0.5]])
     n_uniform = n_samples // 2
     rows = min(n_samples, _CHUNK)
-    draws = np.empty((rows, 3))
-    columns = np.empty((3, rows))
+    # Once clipped into `columns`, the draws are spent, so their three rows
+    # double as the kernel's scratch.
     scratch = np.empty((4, rows))
+    draws = scratch[:3].reshape(rows, 3)
+    columns = np.empty((3, rows))
     violations = 0
     max_gamma = -math.inf
     for start in range(0, n_samples, _CHUNK):
@@ -389,14 +389,15 @@ def verify_bound(n_samples: int, seed: int) -> VerificationReport:
         # all uniform rows followed by one draw of all Gaussian rows.
         stop = min(start + _CHUNK, n_samples)
         split = min(max(n_uniform, start), stop) - start
-        points = draws[: stop - start]
+        points, chunk = draws[: stop - start], columns[:, : stop - start]
         rng.random(out=points[:split])
+        np.clip(points[:split].T, 1e-12, 1.0 - 1e-12, out=chunk[:, :split])
         # numpy draws normal(0, 0.02) as 0.0 + 0.02 * z, z by z.
-        concentrated = points[split:]
-        rng.standard_normal(out=concentrated)
-        concentrated *= 0.02
+        rng.standard_normal(out=points[split:])
+        concentrated = np.multiply(points[split:].T, 0.02, out=chunk[:, split:])
         concentrated += center
-        count, top, gamma = _check_chunk(points, llc, columns, scratch)
+        np.clip(concentrated, 1e-12, 1.0 - 1e-12, out=concentrated)
+        count, top, gamma = _check_chunk(chunk, llc, scratch)
         violations += count
         # Strict >: a tie in a later chunk keeps the earlier row, the first
         # occurrence np.argmax would pick over all triples.

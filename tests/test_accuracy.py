@@ -16,8 +16,11 @@ from keplor.effect_bounds import (
     bound_curve,
     bound_curve_derivative,
     max_standardized_effect,
+    min_variance_exposure,
     min_variance_prevalence,
     optimal_risk,
+    sigma2_by_exposure,
+    sigma2_by_prevalence,
 )
 from keplor.numerics import normal_cdf, normal_quantile, z_to_p
 
@@ -33,6 +36,14 @@ QUANTILE_MAX_RELATIVE_ERROR = 8e-16
 # -x/sqrt(2) is corrected; the worst over the grid was 3.2e-16, and 4.8e-16
 # over 20,000 uniform x in [-37.5, 0].
 NORMAL_CDF_MAX_RELATIVE_ERROR = 6e-16
+# Each reciprocal term of the variance factor rounds up to five times (w*a,
+# then *(1-a), each 1 - x below 1/2, and the quotient), and the sum once more.
+# Over 200,000 triples drawn like the grid's the worst error was 3.9 * 2**-53.
+VARIANCE_FACTOR_MAX_RELATIVE_ERROR = 5 * 2.0**-53
+# 1/(1 + rr/sqrt(or)) rounds four times, and 1/(1 + t) never magnifies an
+# error in t.  Over 200,000 pairs drawn like the grid's the worst error was
+# 3.2 * 2**-53.
+MIN_VARIANCE_EXPOSURE_MAX_RELATIVE_ERROR = 4 * 2.0**-53
 # The curve pair's far branches, |x| >= 1400, at log odds that are doubles.
 FAR_TAIL = [1400.5, 2000.0, 2500.25, 2900.0, 2975.0, 2983.0]
 # A result below 2**-1022 is held to one step of 2**-1074.
@@ -92,6 +103,19 @@ def test_optimal_risks_where_representable():
 def test_min_variance_prevalence_on_uniform_and_log_spaced_pairs():
     got = [min_variance_prevalence(p, q) for p, q, _ in grid.PREVALENCE]
     assert got == within(expected for _, _, expected in grid.PREVALENCE)
+
+
+@pytest.mark.parametrize("factor", [sigma2_by_prevalence, sigma2_by_exposure])
+def test_variance_factor_at_uniform_tiny_and_near_one_probabilities(factor):
+    got = [factor(w, a, b) for w, a, b, _ in grid.VARIANCE_FACTOR]
+    expected = (e for _, _, _, e in grid.VARIANCE_FACTOR)
+    assert got == within(expected, rel=VARIANCE_FACTOR_MAX_RELATIVE_ERROR)
+
+
+def test_min_variance_exposure_on_near_and_wide_pairs():
+    got = [min_variance_exposure(rr, odds) for rr, odds, _ in grid.MIN_VARIANCE_EXPOSURE]
+    expected = (e for _, _, e in grid.MIN_VARIANCE_EXPOSURE)
+    assert got == within(expected, rel=MIN_VARIANCE_EXPOSURE_MAX_RELATIVE_ERROR)
 
 
 def test_normal_quantile_over_every_binade_below_one_half_and_next_to_one():

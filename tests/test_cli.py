@@ -30,6 +30,7 @@ class TestGoldenOutputs:
             ("constants", ["constants"]),
             ("table", ["table", "--counts", "20,10,10,20"]),
             ("verify", ["verify", "--samples", "1000", "--seed", "7"]),
+            ("verify-40000", ["verify", "--samples", "40000", "--seed", "7"]),
             ("bounds", ["bounds", "--p", "0.667", "--q", "0.333", "--prevalence", "0.5"]),
         ],
     )

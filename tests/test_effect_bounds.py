@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from keplor import effect_bounds
 from keplor.contingency import RiskParams
 from keplor.effect_bounds import (
     _CHUNK,
@@ -466,19 +467,28 @@ class TestVerifyBound:
 
     # (max_gamma_observed, arg_max risk_exposed, risk_unexposed, exposure,
     # violations) as float.hex, frozen from the whole-array implementation
-    # that evaluated every triple at once.  The sample counts put chunk edges
-    # inside both the uniform and the concentrated stratum.
+    # that evaluated every triple at once (16383 to 32770 samples: from
+    # 2**16-row chunks, which held each of those counts in one chunk).  The
+    # counts put edges of 2**14- and 2**16-row chunks inside both strata.
     @pytest.mark.parametrize(
         "samples,seed,expected",
         [
             (1, 7, ("0x1.5314aeb9d6c94p-1", "0x1.d5672ffd97097p-1", "0x1.6d59724d7a06ep-4", "0x1.fa62ba662140ep-2", 0)),
             (1, 42, ("0x1.502fd0ff9e308p-1", "0x1.d882c29e89183p-1", "0x1.ff5c808293caap-5", "0x1.07af4345bab44p-1", 0)),
-            (2 * _CHUNK - 1, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
-            (2 * _CHUNK - 1, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
-            (2 * _CHUNK, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
-            (2 * _CHUNK, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
-            (2 * _CHUNK + 1, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
-            (2 * _CHUNK + 1, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (16383, 7, ("0x1.5351bdb1e54a7p-1", "0x1.d55cecf4e08e5p-1", "0x1.594e17e5c2e7fp-4", "0x1.000f504b3c047p-1", 0)),
+            (16383, 42, ("0x1.53525e9c5b3c0p-1", "0x1.d50f084ce4018p-1", "0x1.571c0e230c858p-4", "0x1.ff352e95b497ep-2", 0)),
+            (16384, 7, ("0x1.5351bdb1e54a7p-1", "0x1.d55cecf4e08e5p-1", "0x1.594e17e5c2e7fp-4", "0x1.000f504b3c047p-1", 0)),
+            (16384, 42, ("0x1.53525e9c5b3c0p-1", "0x1.d50f084ce4018p-1", "0x1.571c0e230c858p-4", "0x1.ff352e95b497ep-2", 0)),
+            (16385, 7, ("0x1.5351bdb1e54a7p-1", "0x1.d55cecf4e08e5p-1", "0x1.594e17e5c2e7fp-4", "0x1.000f504b3c047p-1", 0)),
+            (16385, 42, ("0x1.53525e9c5b3c0p-1", "0x1.d50f084ce4018p-1", "0x1.571c0e230c858p-4", "0x1.ff352e95b497ep-2", 0)),
+            (32770, 7, ("0x1.5352c5fee2d15p-1", "0x1.d57124a85688ep-1", "0x1.5569deee42627p-4", "0x1.00d796a7ea7cep-1", 0)),
+            (32770, 42, ("0x1.5352e858daae2p-1", "0x1.d55d4659bd997p-1", "0x1.553e1422cefd6p-4", "0x1.fefd1052f0d00p-2", 0)),
+            (131071, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (131071, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (131072, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (131072, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
+            (131073, 7, ("0x1.5352e66db076fp-1", "0x1.d58b238c64c70p-1", "0x1.562438b55d016p-4", "0x1.00a5f54dc0276p-1", 0)),
+            (131073, 42, ("0x1.5352ed47831edp-1", "0x1.d58a17050bae6p-1", "0x1.538e87d0b8424p-4", "0x1.ffd55aa60e1aep-2", 0)),
             (10**6, 7, ("0x1.535312275564fp-1", "0x1.d57712da0516ap-1", "0x1.545cc155d79cbp-4", "0x1.0002cbf49659dp-1", 0)),
             (10**6, 42, ("0x1.535308cabf29fp-1", "0x1.d54b8c842af19p-1", "0x1.54c45fa33c10ap-4", "0x1.ff390209a1cbep-2", 0)),
         ],
@@ -497,14 +507,38 @@ class TestVerifyBound:
 
     def test_memory_stays_flat(self):
         # numpy reports its buffers to tracemalloc; evaluating all 4e6
-        # triples at once peaked near 370 MiB.
+        # triples at once peaked near 370 MiB, ten buffer rows of 2**16
+        # doubles at 5.1 MiB, and seven rows of 2**14 (0.875 MiB) near
+        # 0.98 MiB.  The first call imports numpy.random outside the trace.
+        verify_bound(1, 0)
         tracemalloc.start()
         try:
             verify_bound(4 * 10**6, 42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 1.5 * 2**20
+
+    def test_columns_are_the_clipped_draws(self, monkeypatch):
+        # 40000 samples fill a uniform chunk, a chunk whose strata split at
+        # row 3616 and a Gaussian chunk.
+        seen = []
+
+        def spy(columns, llc, scratch):
+            seen.append(columns.copy())
+            return _check_chunk(columns, llc, scratch)
+
+        monkeypatch.setattr(effect_bounds, "_check_chunk", spy)
+        verify_bound(40000, 7)
+        assert [chunk.shape[1] for chunk in seen] == [_CHUNK, _CHUNK, 40000 - 2 * _CHUNK]
+        rng = np.random.default_rng(7)
+        peak = bound_constants().peak_risk
+        center = [peak, 1.0 - peak, 0.5]
+        uniform = np.clip(rng.random((20000, 3)), 1e-12, 1.0 - 1e-12)
+        gaussian = np.clip(rng.normal(0.0, 0.02, (20000, 3)) + center, 1e-12, 1.0 - 1e-12)
+        observed = np.concatenate(seen, axis=1).T
+        assert np.array_equal(observed[:20000].view(np.int64), uniform.view(np.int64))
+        assert np.array_equal(observed[20000:].view(np.int64), gaussian.view(np.int64))
 
     @pytest.mark.parametrize("samples,seed", [(0, 1), (-5, 1), (2.0, 1), (10, -1)])
     def test_domain(self, samples, seed):
@@ -552,13 +586,14 @@ class TestCheckChunk:
     ROWS = _CHUNK
 
     def _compare(self, points, llc):
-        columns = np.empty((3, self.ROWS))
+        columns = np.empty((3, self.ROWS))[:, : len(points)]
         scratch = np.full((4, self.ROWS), np.nan)
         expected_points = points.copy()
         expected = _expression_chunk(expected_points, llc)
-        count, top, gamma = _check_chunk(points, llc, columns, scratch)
+        np.clip(points.T, 1e-12, 1.0 - 1e-12, out=columns)
+        count, top, gamma = _check_chunk(columns, llc, scratch)
         assert (count, top, gamma.hex()) == (expected[0], expected[1], expected[2].hex())
-        clipped = columns[:, : len(points)].T
+        clipped = columns.T
         assert [x.hex() for x in clipped[top]] == [x.hex() for x in expected_points[top]]
         assert np.array_equal(clipped, expected_points)
         return expected
