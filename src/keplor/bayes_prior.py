@@ -75,11 +75,13 @@ def flattest_prior(
     _check_positive("assumed_sigma", assumed_sigma)
     quantile = p_to_z(tail_mass)
     ratio = math.log(or_threshold) / assumed_sigma / quantile
+    variance = ratio * ratio
+    _check_derived("prior_variance", variance, math.inf)
     return PriorSpec(
         or_threshold=or_threshold,
         tail_mass=tail_mass,
         assumed_sigma=assumed_sigma,
-        prior_variance=ratio * ratio,
+        prior_variance=variance,
     )
 
 

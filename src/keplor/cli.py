@@ -1,9 +1,9 @@
 """Command-line frontend: every library computation behind one subcommand.
 
 Output is a deterministic envelope: a single JSON object (sorted keys, floats
-in shortest round-trip form) or line-delimited key=value text with
-``--format text``.  Exit codes: 0 ok, 1 domain/validation error, 2 usage
-error.
+in shortest round-trip form, a NaN or infinity as the string "NaN", "Infinity"
+or "-Infinity") or line-delimited key=value text with ``--format text``.
+Exit codes: 0 ok, 1 domain/validation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .errors import DomainError, KeplorError, _check_derived, _check_probability
 from .errors import _parse_count, _split_counts
 
 __all__ = ["build_parser", "run", "main"]
-
-
-class _UsageError(Exception):
-    """An option combination argparse cannot express: exit 2, no envelope."""
 
 
 def _counts_argument(text: str) -> str:
@@ -85,26 +81,25 @@ def _table_results(args: argparse.Namespace) -> dict:
 
 def _bounds_results(args: argparse.Namespace) -> dict:
     # The input mode is checked first, so a usage error loads no library module.
+    error = args.handler[2]  # the leaf parser's: prints usage and message, exits 2
     or_mode = args.or_value is not None
     pq_mode = args.p is not None or args.q is not None
     risk_mode = args.risk_exposed is not None or args.risk_unexposed is not None
     if int(or_mode) + int(pq_mode) + int(risk_mode) != 1:
-        raise _UsageError(
+        error(
             "choose exactly one input mode: --or, --p/--q, or "
             "--risk-exposed/--risk-unexposed"
         )
     if pq_mode and (args.p is None or args.q is None):
-        raise _UsageError("--p and --q must be given together")
+        error("--p and --q must be given together")
     if risk_mode and (args.risk_exposed is None or args.risk_unexposed is None):
-        raise _UsageError("--risk-exposed and --risk-unexposed must be given together")
+        error("--risk-exposed and --risk-unexposed must be given together")
     if args.rr is not None and not or_mode:
-        raise _UsageError("--rr applies only with --or")
+        error("--rr applies only with --or")
     if args.prevalence is not None and not pq_mode:
-        raise _UsageError("--prevalence applies only with --p/--q")
+        error("--prevalence applies only with --p/--q")
     if args.exposure is not None and not risk_mode:
-        raise _UsageError(
-            "--exposure applies only with --risk-exposed/--risk-unexposed"
-        )
+        error("--exposure applies only with --risk-exposed/--risk-unexposed")
     from . import contingency, effect_bounds
 
     if or_mode:
@@ -275,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     leaves = []
 
     def leaf(group, command: str, results, help: str) -> argparse.ArgumentParser:
-        """Add the leaf parser of `command` and route it to `results`."""
+        """Add the leaf parser of `command`; route it to `results` and its error()."""
         sub = group.add_parser(command.split()[-1], help=help)
-        sub.set_defaults(handler=(command, results))
+        sub.set_defaults(handler=(command, results, sub.error))
         leaves.append(sub)
         return sub
 
@@ -443,6 +438,25 @@ def _render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(value: Any) -> Any:
+    """`value` with each non-finite float as the string JSON would name it."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # "NaN", "Infinity" or "-Infinity"
+    return value
+
+
+def _render_json(envelope: dict) -> str:
+    """Strict JSON (RFC 8259): each NaN or infinity is written as a quoted name."""
+    try:
+        return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_strict(envelope), sort_keys=True, indent=2, allow_nan=False)
+
+
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The one parser `run` uses in a process; parsing never mutates it."""
@@ -455,15 +469,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    command, results = args.handler
+    command, results, _ = args.handler
     envelope: dict[str, Any] = {"command": command, "inputs": _inputs(args)}
     try:
         envelope["results"] = results(args)
         envelope["status"] = "ok"
         code = 0
-    except _UsageError as exc:
-        sys.stderr.write(f"keplor {command}: error: {exc}\n")
-        return 2
+    except SystemExit as exc:
+        return exc.code
     except KeplorError as exc:
         envelope["results"] = {}
         envelope["status"] = "error"
@@ -472,7 +485,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.format == "text":
         sys.stdout.write(_render_text(envelope))
     else:
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_render_json(envelope) + "\n")
     return code
 
 

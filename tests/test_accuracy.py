@@ -12,6 +12,7 @@ import pytest
 
 import accuracy_grid as grid
 from keplor.bayes_prior import flattest_sigma
+from keplor.contingency import CohortParams, RiskParams, cohort_to_risk, risk_to_cohort
 from keplor.effect_bounds import (
     bound_curve,
     bound_curve_derivative,
@@ -44,6 +45,13 @@ VARIANCE_FACTOR_MAX_RELATIVE_ERROR = 5 * 2.0**-53
 # error in t.  Over 200,000 pairs drawn like the grid's the worst error was
 # 3.2 * 2**-53.
 MIN_VARIANCE_EXPOSURE_MAX_RELATIVE_ERROR = 4 * 2.0**-53
+# The Bayes maps form a mix m = w*a + (1-w)*b, w*a/m and w*(1-a)/(1-m).  Each
+# rounding is at most 2**-53 relative: m rounds at most three times (w*a,
+# 1 - w and its product, the sum), w*a/m five, and w*(1-a)/(1-m) four plus
+# m's error magnified by m/(1 - m) in 1 - m.  Over 200,000 triples drawn like
+# the grids' the worst error was 0.75 of these bounds.
+BAYES_MIX_MAX_RELATIVE_ERROR = 3 * 2.0**-53
+BAYES_QUOTIENT_MAX_RELATIVE_ERROR = 5 * 2.0**-53
 # The curve pair's far branches, |x| >= 1400, at log odds that are doubles.
 FAR_TAIL = [1400.5, 2000.0, 2500.25, 2900.0, 2975.0, 2983.0]
 # A result below 2**-1022 is held to one step of 2**-1074.
@@ -153,3 +161,25 @@ def test_normal_cdf_and_upper_tail_of_both_signs():
     expected = within(grid.NORMAL_CDF, rel=NORMAL_CDF_MAX_RELATIVE_ERROR)
     assert [normal_cdf(x) for x in points] == expected
     assert [z_to_p(-x) for x in points] == expected
+
+
+def assert_bayes_map(got, rows):
+    """(w*a/m, w*(1-a)/(1-m), m) against each grid row's last three values,
+    the second held to 4 * 2**-53 * (1 + m/(1 - m))."""
+    first, second, mix = zip(*(row[3:] for row in rows))
+    rels = [4 * 2.0**-53 * (1 + m / (1 - m)) for m in mix]
+    assert [g[0] for g in got] == within(first, rel=BAYES_QUOTIENT_MAX_RELATIVE_ERROR)
+    assert [g[1] for g in got] == within_each(second, rels)
+    assert [g[2] for g in got] == within(mix, rel=BAYES_MIX_MAX_RELATIVE_ERROR)
+
+
+def test_cohort_to_risk_at_tiny_near_one_and_mixes_near_one():
+    risks = [cohort_to_risk(CohortParams(p, q, w)) for p, q, w, *_ in grid.COHORT_TO_RISK]
+    got = [(r.risk_exposed, r.risk_unexposed, r.exposure) for r in risks]
+    assert_bayes_map(got, grid.COHORT_TO_RISK)
+
+
+def test_risk_to_cohort_at_tiny_near_one_and_mixes_near_one():
+    cohorts = [risk_to_cohort(RiskParams(a, b, v)) for a, b, v, *_ in grid.RISK_TO_COHORT]
+    got = [(c.exposure_cases, c.exposure_controls, c.prevalence) for c in cohorts]
+    assert_bayes_map(got, grid.RISK_TO_COHORT)

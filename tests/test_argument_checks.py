@@ -235,7 +235,7 @@ STALL_MESSAGE = (
         ),
         (
             "prior flattest --or-threshold 1e300 --tail-mass 0.4 --sigma 1e-300",
-            "prior_variance must be positive and finite, got inf",
+            "derived prior_variance inf falls outside (0, inf)",
         ),
         (
             "prior wm-pathway --or 0 --risk-exposed 0.5",

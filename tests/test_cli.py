@@ -86,6 +86,25 @@ class TestFormats:
             0.338141, abs=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "argv,key,name",
+        [
+            (["pz", "--z", "nan"], "input.z", "NaN"),
+            (["bounds", "--or", "inf"], "input.or", "Infinity"),
+            (["kepler", "solve", "--m=-inf", "--eps", "0.5"], "input.m", "-Infinity"),
+            (["table", "--counts", f"{10**200},1,1,{10**200}"], "result.odds_ratio", "Infinity"),
+        ],
+    )
+    def test_non_finite_floats_are_quoted_names(self, capsys, argv, key, name):
+        # JSON (RFC 8259) has no NaN or Infinity token; text keeps repr's name.
+        code, out, err = capture(capsys, argv)
+        assert err == ""
+        section, field = key.split(".")
+        assert json.loads(out, parse_constant=_no_constant)[f"{section}s"][field] == name
+        text_code, text_out, _ = capture(capsys, argv + ["--format", "text"])
+        assert text_code == code
+        assert f"{key}={_TEXT_NAMES[name]}" in text_out.splitlines()
+
     def test_default_sigma_is_flattest(self, capsys):
         code, out, _ = capture(
             capsys, ["prior", "flattest", "--or-threshold", "2", "--tail-mass", "0.025"]
@@ -189,11 +208,15 @@ class TestUsageErrors:
             ),
         ],
     )
-    def test_bounds_mode_errors(self, capsys, options, message):
+    def test_bounds_mode_errors(self, capsys, monkeypatch, options, message):
+        # The leaf parser reports them as argparse reports any usage error:
+        # its usage line, wrapped to COLUMNS, then the message.
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = dict(_leaves(build_parser()))["bounds"].format_usage()
         assert capture(capsys, ["bounds", *options]) == (
             2,
             "",
-            f"keplor bounds: error: {message}\n",
+            f"{usage}keplor bounds: error: {message}\n",
         )
 
 
@@ -432,6 +455,22 @@ class TestDomainErrors:
                 ["bounds", "--p", "0.9999999999", "--q", "1e-300", "--prevalence", "1e-290"],
                 "derived odds_ratio inf falls outside (0, inf)",
             ),
+            # The prior variance (ln 2 / 1e-300 / 1.96)^2 overflows, and
+            # (ln(1 + 2^-52) / 1e300 / 1.96)^2 underflows.
+            (
+                [
+                    "prior", "flattest", "--or-threshold", "2", "--tail-mass", "0.025",
+                    "--sigma", "1e-300",
+                ],
+                "derived prior_variance inf falls outside (0, inf)",
+            ),
+            (
+                [
+                    "prior", "flattest", "--or-threshold", "1.0000000000000002",
+                    "--tail-mass", "0.025", "--sigma", "1e300",
+                ],
+                "derived prior_variance 0.0 falls outside (0, inf)",
+            ),
             # The odds ratio 5e-324 / 9.38 of this risk pair underflows to 0.
             (
                 [
@@ -530,7 +569,7 @@ class TestSpotValues:
         code, out, _ = capture(capsys, ["table", "--counts", f"{10**200},1,1,{10**200}"])
         assert code == 0
         results = json.loads(out)["results"]
-        assert results["odds_ratio"] == math.inf
+        assert results["odds_ratio"] == "Infinity"
         assert results["log_odds"] == pytest.approx(
             921.03403719761827360719658187374568304044059545151, rel=1e-15, abs=0
         )
@@ -632,6 +671,7 @@ class TestLazyNumpy:
             ("pz --p 0.05", 0, ["errors", "numerics", "statistics"]),
             ("verify --samples 10 --seed 1", 0, [*_CONSTANTS_MODULES, "numpy"]),
             ("bogus", 2, ["errors"]),
+            ("bounds --p 0.5", 2, ["errors"]),
             ("pz --z 2", 0, ["errors", "numerics"]),
         ],
     )
@@ -771,10 +811,11 @@ _ARGVS = st.one_of(
 )
 
 
-class _Constant(str):
-    """A NaN, Infinity or -Infinity in JSON output, kept as its name."""
+def _no_constant(name):
+    raise AssertionError(f"bare {name} in a JSON envelope")
 
 
+# A non-finite float as JSON names it, in quotes, and as text names it.
 _TEXT_NAMES = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
@@ -782,13 +823,14 @@ def _envelope_pairs(out, text):
     """The envelope as the key=value pairs of the text format.
 
     Values are strings in text and JSON values otherwise, with each
-    non-finite JSON constant named as text names it.
+    non-finite float named as text names it.  A bare NaN or Infinity token,
+    which is not JSON, fails the parse.
     """
     if text:
         lines = out.splitlines()
         assert all("=" in line for line in lines)
         return dict(line.split("=", 1) for line in lines)
-    envelope = json.loads(out, parse_constant=_Constant)
+    envelope = json.loads(out, parse_constant=_no_constant)
     assert isinstance(envelope, dict)
     pairs = {f"input.{key}": value for key, value in envelope["inputs"].items()}
     for key, value in envelope["results"].items():
@@ -799,7 +841,7 @@ def _envelope_pairs(out, text):
         else:
             pairs[f"result.{key}"] = value
     return {
-        key: _TEXT_NAMES[value] if isinstance(value, _Constant) else value
+        key: _TEXT_NAMES.get(value, value) if isinstance(value, str) else value
         for key, value in pairs.items()
     }
 
@@ -816,6 +858,9 @@ class TestEnvelopeContract:
         text=False,
     )
     @example(argv=["bounds", "--p=5e-324", "--q=5e-324"], text=False)
+    @example(argv=["pz", "--z=nan"], text=False)
+    @example(argv=["bounds", "--or=inf"], text=False)
+    @example(argv=["kepler", "solve", "--m=-inf", "--eps=0.5"], text=False)
     @example(
         argv=[
             "bounds",
@@ -836,8 +881,9 @@ class TestEnvelopeContract:
             return
         if text:
             assert out.getvalue().count("\nstatus=") == 1
-        # Inputs echo the argv, which may say nan or inf.  No result is nan,
-        # and only a table's odds ratio may be inf.
+        # The JSON parse has already rejected any bare NaN or Infinity, inputs
+        # and results alike.  No result is nan, and only a table's odds ratio
+        # may be inf.
         non_finite = {
             key: value
             for key, value in _envelope_pairs(out.getvalue(), text).items()
