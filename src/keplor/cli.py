@@ -43,22 +43,16 @@ def _add_format(parser: argparse.ArgumentParser, top_level: bool = False) -> Non
 
 
 # Namespace attributes that route a command rather than carry its inputs.
-_ROUTING = frozenset(
-    {"format", "command", "kepler_command", "prior_command", "handler"}
-)
+_ROUTING = frozenset({"format", "command", "handler"})
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """Echo each option that has a value, defaults such as tol included.
-
-    Keys are dest names, with or_value as "or"; routing dests are skipped.
-    """
-    inputs: dict[str, Any] = {}
-    for dest, value in vars(args).items():
-        if dest in _ROUTING or value is None:
-            continue
-        inputs["or" if dest == "or_value" else dest] = value
-    return inputs
+    """Echo each non-routing dest that has a value, defaults such as tol included."""
+    return {
+        dest: value
+        for dest, value in vars(args).items()
+        if dest not in _ROUTING and value is not None
+    }
 
 
 def _table_results(args: argparse.Namespace) -> dict:
@@ -82,7 +76,8 @@ def _table_results(args: argparse.Namespace) -> dict:
 def _bounds_results(args: argparse.Namespace) -> dict:
     # The input mode is checked first, so a usage error loads no library module.
     error = args.handler[2]  # the leaf parser's: prints usage and message, exits 2
-    or_mode = args.or_value is not None
+    odds_ratio = getattr(args, "or")  # a keyword, so not args.or
+    or_mode = odds_ratio is not None
     pq_mode = args.p is not None or args.q is not None
     risk_mode = args.risk_exposed is not None or args.risk_unexposed is not None
     if int(or_mode) + int(pq_mode) + int(risk_mode) != 1:
@@ -103,7 +98,6 @@ def _bounds_results(args: argparse.Namespace) -> dict:
     from . import contingency, effect_bounds
 
     if or_mode:
-        odds_ratio = args.or_value
         ceiling = effect_bounds.max_standardized_effect(odds_ratio)
         log_odds = math.log(odds_ratio)
         optimum = effect_bounds.optimal_risk(odds_ratio)
@@ -236,7 +230,8 @@ def _prior_flattest_results(args: argparse.Namespace) -> dict:
 def _prior_pathway_results(args: argparse.Namespace) -> dict:
     from . import bayes_prior
 
-    return bayes_prior.prevalence_pathway(args.or_value, args.risk_exposed)._asdict()
+    odds_ratio = getattr(args, "or")  # a keyword, so not args.or
+    return bayes_prior.prevalence_pathway(odds_ratio, args.risk_exposed)._asdict()
 
 
 def _verify_results(args: argparse.Namespace) -> dict:
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         _bounds_results,
         "standardized-effect ceiling and variance minimizers",
     )
-    bounds.add_argument("--or", dest="or_value", type=float, help="odds ratio")
+    bounds.add_argument("--or", type=float, help="odds ratio")
     bounds.add_argument(
         "--rr", type=float, help="risk ratio (with --or: variance-minimizing exposure)"
     )
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     kepler_parser = subparsers.add_parser("kepler", help="Kepler-equation tools")
-    kepler_sub = kepler_parser.add_subparsers(dest="kepler_command", required=True)
+    kepler_sub = kepler_parser.add_subparsers(dest="command", required=True)
     solve = leaf(
         kepler_sub,
         "kepler solve",
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     diverge.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
 
     prior = subparsers.add_parser("prior", help="prior-specification helpers")
-    prior_sub = prior.add_subparsers(dest="prior_command", required=True)
+    prior_sub = prior.add_subparsers(dest="command", required=True)
 
     flattest = leaf(
         prior_sub,
@@ -379,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         _prior_pathway_results,
         "sigma at the variance-minimizing prevalence",
     )
-    pathway.add_argument(
-        "--or", dest="or_value", type=float, required=True, help="odds ratio"
-    )
+    pathway.add_argument("--or", type=float, required=True, help="odds ratio")
     pathway.add_argument(
         "--risk-exposed", type=float, required=True, help="assumed risk among exposed"
     )

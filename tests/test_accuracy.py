@@ -12,7 +12,15 @@ import pytest
 
 import accuracy_grid as grid
 from keplor.bayes_prior import flattest_sigma
-from keplor.contingency import CohortParams, RiskParams, cohort_to_risk, risk_to_cohort
+from keplor.contingency import (
+    CohortParams,
+    RiskParams,
+    TwoByTwoTable,
+    cohort_to_risk,
+    estimate_odds_ratio,
+    risk_to_cohort,
+    t_statistic,
+)
 from keplor.effect_bounds import (
     bound_curve,
     bound_curve_derivative,
@@ -22,6 +30,7 @@ from keplor.effect_bounds import (
     optimal_risk,
     sigma2_by_exposure,
     sigma2_by_prevalence,
+    standardized_effect,
 )
 from keplor.numerics import normal_cdf, normal_quantile, z_to_p
 
@@ -183,3 +192,61 @@ def test_risk_to_cohort_at_tiny_near_one_and_mixes_near_one():
     cohorts = [risk_to_cohort(RiskParams(a, b, v)) for a, b, v, *_ in grid.RISK_TO_COHORT]
     got = [(c.exposure_cases, c.exposure_controls, c.prevalence) for c in cohorts]
     assert_bayes_map(got, grid.RISK_TO_COHORT)
+
+
+def standardized_effect_tolerance(log_odds):
+    """Each rounding, the reference's included, is at most 2**-53 relative.
+
+    The odds ratio rounds up to five times (each 1 - r, each odds and their
+    quotient), and ln OR magnifies that by 1/|ln OR|; the log is allowed one
+    ulp (2).  The variance factor's five roundings are halved by the square
+    root (2.5), which rounds once, as do the quotient and the reference.  Over
+    400,000 triples drawn like the grid's the worst error was 0.51 of this
+    bound, and 0.46 and 0.39 in the scaled form and the logit difference.
+    """
+    return 2.0**-53 * (5 / abs(log_odds) + 7.5)
+
+
+def test_standardized_effect_by_direct_quotient_logit_difference_and_scaled_form():
+    rows = grid.STANDARDIZED_EFFECT
+    got = [standardized_effect(RiskParams(a, b, v)) for a, b, v, *_ in rows]
+    rels = [standardized_effect_tolerance(log_odds) for *_, log_odds, _ in rows]
+    assert got == within_each([row[-1] for row in rows], rels)
+
+
+def table_tolerances(row):
+    """Relative bounds on a table's odds ratio, ln OR and t.
+
+    Each rounding, the reference's included, is at most 2**-53 relative, and a
+    log is allowed one ulp.  A count past 2**52 may round twice, to double and
+    when 0.5 is added.  ln OR magnifies the odds ratio's three roundings by
+    1/|ln OR|; past the double range it is the sum of the cells' logs, whose
+    roundings and sums are magnified by their size over |ln OR|.  t adds the
+    four reciprocals and their three sums, halved by the square root, which
+    rounds once, as do the quotient and the reference.  Over 400,000 tables drawn like the grid's the worst error was 0.66 of these
+    bounds.  A subnormal result, of either function, is held to one step.
+    """
+    *counts, correction, _, log_odds, _ = row
+    cells = [float(n) + (0.5 if correction else 0.0) for n in counts]
+    rounded = 2 * sum(n > 2**52 for n in counts)
+    if 0.0 < (cells[0] * cells[3]) / (cells[1] * cells[2]) < math.inf:
+        spread = 3 + rounded
+    else:
+        spread = 3 * sum(abs(math.log(c)) for c in cells) + rounded
+    log_rel = 2.0**-53 * (spread / abs(log_odds) + 3)
+    return 2.0**-53 * (4 + rounded), log_rel, log_rel + 2.0**-53 * (5 + rounded / 2)
+
+
+def test_estimate_odds_ratio_inside_and_past_the_double_range():
+    rows = grid.TABLE_ESTIMATES
+    got = [estimate_odds_ratio(TwoByTwoTable(*row[:4]), row[4]) for row in rows]
+    or_rels, log_rels, _ = zip(*(table_tolerances(row) for row in rows))
+    assert [g.odds_ratio for g in got] == within_each([row[5] for row in rows], or_rels)
+    assert [g.log_odds for g in got] == within_each([row[6] for row in rows], log_rels)
+
+
+def test_t_statistic_inside_and_past_the_double_range():
+    rows = grid.TABLE_ESTIMATES
+    got = [t_statistic(TwoByTwoTable(*row[:4]), row[4]) for row in rows]
+    t_rels = [table_tolerances(row)[2] for row in rows]
+    assert got == within_each([row[7] for row in rows], t_rels)
