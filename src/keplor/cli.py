@@ -55,6 +55,11 @@ def _inputs(args: argparse.Namespace) -> dict:
     }
 
 
+def _renamed(record: Any, **names: str) -> dict:
+    """The fields of `record`, each under its CLI name: `names` maps a field to one."""
+    return {names.get(key, key): value for key, value in vars(record).items()}
+
+
 def _table_results(args: argparse.Namespace) -> dict:
     from . import contingency
 
@@ -145,11 +150,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         summary.risk_ratio, summary.odds_ratio
     )
     return {
-        "odds_ratio": summary.odds_ratio,
-        "risk_ratio": summary.risk_ratio,
-        "log_odds": summary.log_odds,
-        "sigma": summary.sigma,
-        "standardized_effect": summary.standardized,
+        **_renamed(summary, standardized="standardized_effect"),
         **vars(cohort),
         "min_variance_exposure": v_min,
         "sigma_at_min": math.sqrt(
@@ -174,10 +175,7 @@ def _kepler_solve_results(args: argparse.Namespace) -> dict:
         kepler.KeplerProblem(args.m, args.eps), tol=args.tol
     )
     return {
-        "eccentric_anomaly": solution.eccentric_anomaly,
-        "residual": solution.residual,
-        "method": solution.method,
-        "iterations": solution.iterations_or_order,
+        **_renamed(solution, iterations_or_order="iterations"),
         "mean_anomaly_check": kepler.mean_anomaly(
             solution.eccentric_anomaly, args.eps
         ),
@@ -188,12 +186,7 @@ def _kepler_series_results(args: argparse.Namespace) -> dict:
     from . import kepler
 
     solution = kepler.kepler_series(kepler.KeplerProblem(args.m, args.eps), args.order)
-    return {
-        "eccentric_anomaly": solution.eccentric_anomaly,
-        "residual": solution.residual,
-        "method": solution.method,
-        "order": solution.iterations_or_order,
-    }
+    return _renamed(solution, iterations_or_order="order")
 
 
 def _kepler_diverge_results(args: argparse.Namespace) -> dict:
@@ -402,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     text = str(value)
     # A line break inside a value would end its key=value line early.
     if text.splitlines() != [text]:
@@ -460,15 +451,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     """Parse argv, execute, print the envelope; returns the exit code."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    command, results, _ = args.handler
-    envelope: dict[str, Any] = {"command": command, "inputs": _inputs(args)}
-    try:
+        command, results, _ = args.handler
+        envelope: dict[str, Any] = {"command": command, "inputs": _inputs(args)}
         envelope["results"] = results(args)
         envelope["status"] = "ok"
         code = 0
-    except SystemExit as exc:
+    except SystemExit as exc:  # a usage error, from parsing or from bounds' modes
         return exc.code
     except KeplorError as exc:
         envelope["results"] = {}

@@ -179,8 +179,14 @@ def _cells_odds_ratio(cells: tuple[float, ...]) -> OddsRatioEstimate:
     odds_ratio = (c11 * c22) / (c12 * c21)
     if 0.0 < odds_ratio < math.inf:
         return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
+    first, second = c11 / c12, c22 / c21
+    odds_ratio = first * second
+    # Three roundings of normal doubles put ln OR within about 3 * 2**-53;
+    # the sum of the cells' logs below cancels terms of up to 709 each.
+    if all(sys.float_info.min <= x < math.inf for x in (first, second, odds_ratio)):
+        return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
     log_odds = (math.log(c11) + math.log(c22)) - (math.log(c12) + math.log(c21))
-    return OddsRatioEstimate((c11 / c12) * (c22 / c21), log_odds)
+    return OddsRatioEstimate(odds_ratio, log_odds)
 
 
 def estimate_odds_ratio(
@@ -190,8 +196,9 @@ def estimate_odds_ratio(
 
     With ``correction=True`` every cell gets 0.5 added first, which keeps the
     estimate finite in the presence of empty cells.  Where a cross product
-    leaves the double range, the log odds is the sum of the cells' logs and
-    the odds ratio is (n11/n12)*(n22/n21), rounded to 0.0, inf or a double.
+    leaves the double range, the odds ratio is (n11/n12)*(n22/n21), rounded
+    to 0.0, inf or a double; the log odds is its log while both quotients and
+    the odds ratio are normal doubles, else the sum of the cells' logs.
     """
     return _cells_odds_ratio(_corrected_cells(table, correction))
 

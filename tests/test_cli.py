@@ -13,7 +13,9 @@ from hypothesis import example, given, strategies as st
 from goldens import GOLDENS
 from keplor import cli
 from keplor.cli import build_parser, main, run
-from keplor.kepler import KeplerProblem, kepler_series
+from keplor.contingency import RiskParams, risk_to_cohort
+from keplor.effect_bounds import summarize_risk
+from keplor.kepler import KeplerProblem, kepler_series, kepler_solve, mean_anomaly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -616,6 +618,49 @@ class TestSpotValues:
         results = json.loads(out)["results"]
         assert results["risk_unexposed"] == 0.2
         assert results["sigma"] == pytest.approx(4.2690748412273125, rel=1e-12, abs=0)
+
+
+def _assert_fields(results, record, **names):
+    """`results` holds each field of `record`, under `names`' CLI name for it."""
+    for field, value in vars(record).items():
+        assert results[names.get(field, field)] == value, field
+
+
+class TestRecordResults:
+    """A result key that is a library field holds that field of the record."""
+
+    @pytest.mark.parametrize("m,eps,tol", [(1.0, 0.5, 1e-12), (-20.5, 0.9, 1e-15), (1e6, 0.0, 1e-3)])
+    def test_kepler_solve(self, capsys, m, eps, tol):
+        argv = ["kepler", "solve", "--m", repr(m), "--eps", repr(eps), "--tol", repr(tol)]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        solution = kepler_solve(KeplerProblem(m, eps), tol=tol)
+        _assert_fields(results, solution, iterations_or_order="iterations")
+        assert results["mean_anomaly_check"] == mean_anomaly(solution.eccentric_anomaly, eps)
+
+    @pytest.mark.parametrize("m,eps,order", [(1.0, 0.5, 3), (2.5, 0.8, 64), (-7.0, 0.3, 1)])
+    def test_kepler_series(self, capsys, m, eps, order):
+        argv = ["kepler", "series", "--m", repr(m), "--eps", repr(eps), "--order", str(order)]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        solution = kepler_series(KeplerProblem(m, eps), order)
+        _assert_fields(json.loads(out)["results"], solution, iterations_or_order="order")
+
+    @pytest.mark.parametrize(
+        "exposed,unexposed,exposure",
+        [(0.3, 0.2, None), (0.3, 0.2, 0.4), (1e-12, 0.999, 0.3), (0.999999, 1e-9, None)],
+    )
+    def test_bounds_risk_mode(self, capsys, exposed, unexposed, exposure):
+        argv = ["bounds", "--risk-exposed", repr(exposed), "--risk-unexposed", repr(unexposed)]
+        if exposure is not None:
+            argv += ["--exposure", repr(exposure)]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        risks = RiskParams(exposed, unexposed, 0.5 if exposure is None else exposure)
+        _assert_fields(results, summarize_risk(risks), standardized="standardized_effect")
+        _assert_fields(results, risk_to_cohort(risks))
 
 
 class TestEntryPoints:
