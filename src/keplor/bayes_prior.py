@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .contingency import RiskParams, risk_to_cohort
-from .effect_bounds import (
-    max_standardized_effect,
-    min_variance_prevalence,
-    sigma2_by_prevalence,
-)
+from .effect_bounds import max_standardized_effect
 from .errors import DomainError, _Record
 from .errors import _check_derived, _check_positive, _check_probability
 # Imported as a pair: perfbench/worker.py also calls bayes_prior.z_to_p.
@@ -99,30 +94,21 @@ def flattest_sigma(or_threshold: float) -> float:
 def prevalence_pathway(odds_ratio: float, risk_exposed: float) -> PathwayResult:
     """Sigma under an assumed exposed-group risk instead of the flattest choice.
 
-    The unexposed risk is recovered from the odds ratio,
-    risk_unexposed = 1 / (1 + odds_ratio*(1 - risk_exposed)/risk_exposed);
-    the risk pair is anchored at pooled exposure 1/2 and converted to cohort
-    parameters, where the variance-minimizing prevalence and its sigma are
-    evaluated.
+    With r = risk_exposed and d = r + OR*(1 - r), the risk ratio, the unexposed
+    risk is r/d; at pooled exposure 1/2 the cohort is p = d/(d + 1) and
+    q = d/(d + OR).  Its variance-minimizing prevalence is
+    1/(1 + (d + OR)/((d + 1)*s)), s = sqrt(OR), with sigma
+    (1 + s)*(d + s)/(s*sqrt(d)), each evaluated so that no term overflows and
+    every complement is a quotient of positive terms.
     """
     _check_positive("odds_ratio", odds_ratio)
     _check_probability("risk_exposed", risk_exposed)
-    risk_unexposed = 1.0 / (1.0 + odds_ratio * (1.0 - risk_exposed) / risk_exposed)
+    risk_ratio = risk_exposed + odds_ratio * (1.0 - risk_exposed)
+    risk_unexposed = risk_exposed / risk_ratio
     _check_derived("risk_unexposed", risk_unexposed)
-    cohort = risk_to_cohort(
-        RiskParams(risk_exposed=risk_exposed, risk_unexposed=risk_unexposed, exposure=0.5)
-    )
-    prevalence = min_variance_prevalence(
-        cohort.exposure_cases, cohort.exposure_controls
-    )
-    sigma = math.sqrt(
-        sigma2_by_prevalence(
-            prevalence, cohort.exposure_cases, cohort.exposure_controls
-        )
-    )
-    return PathwayResult(
-        risk_unexposed=risk_unexposed,
-        risk_ratio=risk_exposed / risk_unexposed,
-        prevalence=prevalence,
-        sigma=sigma,
-    )
+    root_or, root_rr = math.sqrt(odds_ratio), math.sqrt(risk_ratio)
+    plus_one = risk_ratio + 1.0
+    prevalence = 1.0 / (1.0 + (risk_ratio / plus_one + odds_ratio / plus_one) / root_or)
+    _check_derived("prevalence", prevalence)
+    sigma = (1.0 + 1.0 / root_or) * (root_rr + root_or / root_rr)
+    return PathwayResult(risk_unexposed, risk_ratio, prevalence, sigma)

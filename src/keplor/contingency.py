@@ -180,6 +180,12 @@ def _cells_odds_ratio(cells: tuple[float, ...]) -> OddsRatioEstimate:
     if 0.0 < odds_ratio < math.inf:
         return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
     first, second = c11 / c12, c22 / c21
+    if not all(sys.float_info.min <= x < math.inf for x in (first, second)):
+        # A quotient that is not a normal double has lost bits; the other
+        # pairing keeps them where both of its quotients are normal.
+        other = c11 / c21, c22 / c12
+        if all(sys.float_info.min <= x < math.inf for x in other):
+            first, second = other
     odds_ratio = first * second
     # Three roundings of normal doubles put ln OR within about 3 * 2**-53;
     # the sum of the cells' logs below cancels terms of up to 709 each.
@@ -196,9 +202,11 @@ def estimate_odds_ratio(
 
     With ``correction=True`` every cell gets 0.5 added first, which keeps the
     estimate finite in the presence of empty cells.  Where a cross product
-    leaves the double range, the odds ratio is (n11/n12)*(n22/n21), rounded
-    to 0.0, inf or a double; the log odds is its log while both quotients and
-    the odds ratio are normal doubles, else the sum of the cells' logs.
+    leaves the double range, the odds ratio is (n11/n12)*(n22/n21), or
+    (n11/n21)*(n22/n12) where only the second pair of quotients is normal,
+    rounded to 0.0, inf or a double; the log odds is its log while both
+    quotients and the odds ratio are normal doubles, else the sum of the
+    cells' logs.
     """
     return _cells_odds_ratio(_corrected_cells(table, correction))
 

@@ -1,7 +1,10 @@
-"""The argv behind each file of tests/golden/, keyed by file name.
+"""The argv behind each file of tests/golden/, and the CLI's leaf commands.
 
 Each argv prints its file byte for byte, with exit 0 and nothing on stderr.
+The tests and CI import this module, so both walk the same leaves.
 """
+
+import argparse
 
 GOLDENS = {
     "constants.json": ["constants"],
@@ -16,3 +19,13 @@ GOLDENS = {
         "--max-order", "3", "--format", "text",
     ],
 }
+
+
+def leaves(parser, words=()):
+    """(command words, parser) for every leaf under `parser`, in declaration order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaves(sub, (*words, name))
+            return
+    yield " ".join(words), parser

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -10,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from goldens import GOLDENS
+from goldens import GOLDENS, leaves
 from keplor import cli
 from keplor.cli import build_parser, main, run
 from keplor.contingency import RiskParams, risk_to_cohort
@@ -95,6 +94,13 @@ class TestFormats:
         text_code, text_out, _ = capture(capsys, argv + ["--format", "text"])
         assert text_code == code
         assert f"{key}={_TEXT_NAMES[name]}" in text_out.splitlines()
+
+    def test_non_finite_floats_in_a_list_are_quoted_names(self):
+        # No command prints a non-finite value inside a list, so only a
+        # direct call reaches this branch of the renderer.
+        envelope = {"results": {"rows": [{"x": math.nan}, {"x": -math.inf}, 1.5]}}
+        rows = json.loads(cli._render_json(envelope), parse_constant=_no_constant)
+        assert rows["results"]["rows"] == [{"x": "NaN"}, {"x": "-Infinity"}, 1.5]
 
     def test_default_sigma_is_flattest(self, capsys):
         code, out, _ = capture(
@@ -225,7 +231,7 @@ class TestUsageErrors:
         # The leaf parser reports them as argparse reports any usage error:
         # its usage line, wrapped to COLUMNS, then the message.
         monkeypatch.setenv("COLUMNS", "80")
-        usage = dict(_leaves(build_parser()))["bounds"].format_usage()
+        usage = dict(leaves(build_parser()))["bounds"].format_usage()
         assert capture(capsys, ["bounds", *options]) == (
             2,
             "",
@@ -233,22 +239,12 @@ class TestUsageErrors:
         )
 
 
-def _leaves(parser, words=()):
-    """(command words, parser) for every leaf under `parser`, in declaration order."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _leaves(sub, (*words, name))
-            return
-    yield " ".join(words), parser
-
-
 class TestCommandDeclarations:
     def test_leaf_options_in_declaration_order(self):
         # The order fixes the help and usage text; --format closes every leaf.
         options = {
             command: [flag for action in leaf._actions for flag in action.option_strings]
-            for command, leaf in _leaves(build_parser())
+            for command, leaf in leaves(build_parser())
         }
         expected = {
             "table": ["-h", "--help", "--counts", "--file", "--correction", "--format"],
@@ -274,7 +270,7 @@ class TestCommandDeclarations:
     def test_help_shows_no_internal_dest(self):
         # Each input has one name, the option's own, and each routing level
         # is "command": argparse prints no second name in help or usage.
-        for command, leaf in _leaves(build_parser()):
+        for command, leaf in leaves(build_parser()):
             text = leaf.format_help()
             for name in ("or_value", "OR_VALUE", "kepler_command", "prior_command"):
                 assert name not in text, (command, name)
@@ -450,9 +446,10 @@ class TestDomainErrors:
                 ],
                 "derived exposure_controls 1.0 falls outside (0, 1)",
             ),
+            # The variance-minimizing prevalence, 1 - 3e-150, rounds to 1.0.
             (
                 ["prior", "wm-pathway", "--or", "1e300", "--risk-exposed", "0.5"],
-                "derived exposure_cases 1.0 falls outside (0, 1)",
+                "derived prevalence 1.0 falls outside (0, 1)",
             ),
             # min_variance_exposure is 1 / (1 + 1e-50) here, with no --exposure
             # given, and 1 / (1 + 5e-21) with --rr.
@@ -923,6 +920,8 @@ class TestEnvelopeContract:
         text=False,
     )
     @example(argv=["bounds", "--p=5e-324", "--q=5e-324"], text=False)
+    @example(argv=["prior", "wm-pathway", "--or=1e-15", "--risk-exposed=0.5"], text=False)
+    @example(argv=["prior", "wm-pathway", "--or=4", "--risk-exposed=1e-310"], text=False)
     @example(argv=["pz", "--z=nan"], text=False)
     @example(argv=["bounds", "--or=inf"], text=False)
     @example(argv=["kepler", "solve", "--m=-inf", "--eps=0.5"], text=False)
