@@ -122,12 +122,15 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         p, q = args.p, args.q
         _check_probability("--p", p)
         _check_probability("--q", q)
-        odds_ratio = (p / (1.0 - p)) / (q / (1.0 - q))
         w_min = effect_bounds.min_variance_prevalence(p, q)
         prevalence = args.prevalence if args.prevalence is not None else w_min
         risks = contingency.cohort_to_risk(
             contingency.CohortParams(p, q, prevalence)
         )
+        # The transposed table's risk triple: its cells, so its odds ratio and
+        # variance factor, are this design's, with no derived risk in between.
+        transposed = contingency.RiskParams(p, q, prevalence)
+        odds_ratio = contingency.odds_and_risk_ratio(transposed).odds_ratio
         _check_derived("odds_ratio", odds_ratio, math.inf)
         return {
             "odds_ratio": odds_ratio,
@@ -140,7 +143,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
             ),
             "prevalence_used": prevalence,
             **vars(risks),
-            "standardized_effect": effect_bounds.standardized_effect(risks),
+            "standardized_effect": effect_bounds.standardized_effect(transposed),
         }
     exposure = args.exposure if args.exposure is not None else 0.5
     risks = contingency.RiskParams(args.risk_exposed, args.risk_unexposed, exposure)

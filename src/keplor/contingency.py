@@ -225,6 +225,16 @@ def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
     return log_odds / math.sqrt(1.0 / c11 + 1.0 / c12 + 1.0 / c21 + 1.0 / c22)
 
 
+def _bayes_quotient(weight: float, share: float, mix: float) -> float:
+    """weight*share/mix, scaled by 2**54 where the product alone is subnormal."""
+    product = weight * share
+    if 0.0 < product < sys.float_info.min <= mix:
+        # On the subnormal grid the product has lost bits, and the divide
+        # magnifies that error; scaled, it keeps them.
+        return weight * math.ldexp(share, 54) / math.ldexp(mix, 54)
+    return product / mix
+
+
 def cohort_to_risk(cohort: CohortParams) -> RiskParams:
     """Bayes map from (exposure_cases, exposure_controls, prevalence) to risks."""
     p = cohort.exposure_cases
@@ -232,8 +242,8 @@ def cohort_to_risk(cohort: CohortParams) -> RiskParams:
     w = cohort.prevalence
     exposure = w * p + (1.0 - w) * q
     _check_derived("exposure", exposure)
-    risk_exposed = w * p / exposure
-    risk_unexposed = w * (1.0 - p) / (1.0 - exposure)
+    risk_exposed = _bayes_quotient(w, p, exposure)
+    risk_unexposed = _bayes_quotient(w, 1.0 - p, 1.0 - exposure)
     _check_derived("risk_exposed", risk_exposed)
     _check_derived("risk_unexposed", risk_unexposed)
     return RiskParams(risk_exposed, risk_unexposed, exposure)
@@ -246,8 +256,8 @@ def risk_to_cohort(risk: RiskParams) -> CohortParams:
     v = risk.exposure
     prevalence = v * re_ + (1.0 - v) * ru
     _check_derived("prevalence", prevalence)
-    exposure_cases = v * re_ / prevalence
-    exposure_controls = v * (1.0 - re_) / (1.0 - prevalence)
+    exposure_cases = _bayes_quotient(v, re_, prevalence)
+    exposure_controls = _bayes_quotient(v, 1.0 - re_, 1.0 - prevalence)
     _check_derived("exposure_cases", exposure_cases)
     _check_derived("exposure_controls", exposure_controls)
     return CohortParams(exposure_cases, exposure_controls, prevalence)

@@ -14,6 +14,12 @@ GOLDENS = {
     # The far tail of the normal quantile, as the standard library rounds it.
     "pz.json": ["pz", "--p", "5e-324"],
     "bounds.json": ["bounds", "--p", "0.667", "--q", "0.333", "--prevalence", "0.5"],
+    # Derived risks that round to 1 - 2**-53 and 1 - 2**-52: the effect comes
+    # from the inputs, and keeps its sign.
+    "bounds-near-one.json": [
+        "bounds", "--p", "0.667", "--q", "0.9999999999999999",
+        "--prevalence", "0.9999999999999999",
+    ],
     "diverge-table.txt": [
         "kepler", "diverge-table", "--m", "1.5707963", "--eps", "0.8",
         "--max-order", "3", "--format", "text",

@@ -6,12 +6,14 @@ shows its loss here.  The references in accuracy_grid.py are 50-digit values
 rounded once to double.
 """
 
+import json
 import math
 
 import pytest
 
 import accuracy_grid as grid
 from keplor.bayes_prior import flattest_prior, flattest_sigma, prevalence_pathway
+from keplor.cli import run
 from keplor.contingency import (
     CohortParams,
     RiskParams,
@@ -180,13 +182,25 @@ def test_normal_cdf_and_upper_tail_of_both_signs():
     assert [z_to_p(-x) for x in points] == expected
 
 
+def within_or_a_step(expected, rels):
+    """Each value to its relative error; below 2**-1022 also to one step of
+    2**-1074, for its rounding onto the subnormal grid and the reference's."""
+    return [
+        pytest.approx(e, rel=0, abs=SUBNORMAL_STEP + rel * e)
+        if e < 2.0**-1022
+        else pytest.approx(e, rel=rel, abs=0)
+        for e, rel in zip(expected, rels)
+    ]
+
+
 def assert_bayes_map(got, rows):
     """(w*a/m, w*(1-a)/(1-m), m) against each grid row's last three values,
     the second held to 4 * 2**-53 * (1 + m/(1 - m))."""
     first, second, mix = zip(*(row[3:] for row in rows))
     rels = [4 * 2.0**-53 * (1 + m / (1 - m)) for m in mix]
-    assert [g[0] for g in got] == within(first, rel=BAYES_QUOTIENT_MAX_RELATIVE_ERROR)
-    assert [g[1] for g in got] == within_each(second, rels)
+    expected = within_or_a_step(first, [BAYES_QUOTIENT_MAX_RELATIVE_ERROR] * len(first))
+    assert [g[0] for g in got] == expected
+    assert [g[1] for g in got] == within_or_a_step(second, rels)
     assert [g[2] for g in got] == within(mix, rel=BAYES_MIX_MAX_RELATIVE_ERROR)
 
 
@@ -220,6 +234,32 @@ def test_standardized_effect_by_direct_quotient_logit_difference_and_scaled_form
     got = [standardized_effect(RiskParams(a, b, v)) for a, b, v, *_ in rows]
     rels = [standardized_effect_tolerance(log_odds) for *_, log_odds, _ in rows]
     assert got == within_each([row[-1] for row in rows], rels)
+
+
+# bounds --p/--q argvs, with ln OR and the standardized effect of their
+# inputs, 30 of 60 digits from mpmath 1.3: a design whose derived risks round
+# to 1 - 2**-53 and 1 - 2**-52, a control exposure near 0 and one near 1.
+BOUNDS_P_Q = [
+    ("0.667", "0.9999999999999999", "0.9999999999999999",
+     -36.0421530137419212293097810672, -4.00148281329192548089949959214e-15),
+    ("0.5", "1e-14", "0.5",
+     32.236191301916629577432571011, 2.27944294692114788801589996711e-06),
+    ("0.3", "0.999999999999", "0.2",
+     -28.4783410982795622601552935217, -2.54715208910137538386029151537e-05),
+]
+
+
+@pytest.mark.parametrize(
+    "p,q,prevalence,log_odds,expected", BOUNDS_P_Q, ids=[",".join(row[:3]) for row in BOUNDS_P_Q]
+)
+def test_bounds_p_q_standardized_effect_from_its_own_inputs(
+    capsys, p, q, prevalence, log_odds, expected
+):
+    # The inputs are exact doubles, as the risks of the grid's triples are.
+    code = run(["bounds", "--p", p, "--q", q, "--prevalence", prevalence])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)["results"]["standardized_effect"]
+    assert got == pytest.approx(expected, rel=standardized_effect_tolerance(log_odds), abs=0)
 
 
 def normal(*values):

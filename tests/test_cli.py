@@ -660,6 +660,42 @@ class TestRecordResults:
         _assert_fields(results, risk_to_cohort(risks))
 
 
+def _probability(mantissa, exponent, complement):
+    """A double drawn by mantissa and exponent in (0, 1), or 1 minus it: 1.0
+    for the tiniest draws, which both input modes reject."""
+    x = math.ldexp(1.0 + mantissa / 2.0**52, exponent)
+    return 1.0 - x if complement else x
+
+
+_PROBABILITIES = st.builds(
+    _probability, st.integers(0, 2**52 - 1), st.integers(-1074, -1), st.booleans()
+)
+
+
+def _quiet_results(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, json.loads(out.getvalue())["results"]
+
+
+class TestTransposition:
+    @given(p=_PROBABILITIES, q=_PROBABILITIES, w=_PROBABILITIES)
+    @example(p=0.667, q=0.9999999999999999, w=0.9999999999999999)
+    @example(p=0.5, q=1e-14, w=0.5)
+    def test_cohort_and_risk_modes_read_one_table(self, p, q, w):
+        # The cohort triple (p, q, w) is the risk triple of the transposed
+        # table, whose cells are the design's: one odds ratio, one effect.
+        cohort = _quiet_results(["bounds", f"--p={p!r}", f"--q={q!r}", f"--prevalence={w!r}"])
+        risk = _quiet_results(
+            ["bounds", f"--risk-exposed={p!r}", f"--risk-unexposed={q!r}", f"--exposure={w!r}"]
+        )
+        if cohort[0] != 0 or risk[0] != 0:
+            return
+        for key in ("odds_ratio", "standardized_effect"):
+            assert repr(cohort[1][key]) == repr(risk[1][key]), key
+
+
 class TestEntryPoints:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
