@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 # The library modules are imported inside each command that calls them, so a
 # one-shot process loads only what its subcommand uses.
-from .errors import DomainError, KeplorError, _check_derived, _check_probability
+from .errors import DomainError, KeplorError, _check_probability
 from .errors import _parse_count, _split_counts
 
 __all__ = ["build_parser", "run", "main"]
@@ -129,13 +129,11 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         )
         # The transposed table's risk triple: its cells, so its odds ratio and
         # variance factor, are this design's, with no derived risk in between.
-        transposed = contingency.RiskParams(p, q, prevalence)
-        odds_ratio = contingency.odds_and_risk_ratio(transposed).odds_ratio
-        _check_derived("odds_ratio", odds_ratio, math.inf)
+        summary = effect_bounds.summarize_risk(contingency.RiskParams(p, q, prevalence))
         return {
-            "odds_ratio": odds_ratio,
+            "odds_ratio": summary.odds_ratio,
             "max_standardized_effect": effect_bounds.max_standardized_effect(
-                odds_ratio
+                summary.odds_ratio
             ),
             "min_variance_prevalence": w_min,
             "sigma_at_min": math.sqrt(
@@ -143,7 +141,7 @@ def _bounds_results(args: argparse.Namespace) -> dict:
             ),
             "prevalence_used": prevalence,
             **vars(risks),
-            "standardized_effect": effect_bounds.standardized_effect(transposed),
+            "standardized_effect": summary.standardized,
         }
     exposure = args.exposure if args.exposure is not None else 0.5
     risks = contingency.RiskParams(args.risk_exposed, args.risk_unexposed, exposure)

@@ -20,6 +20,12 @@ GOLDENS = {
         "bounds", "--p", "0.667", "--q", "0.9999999999999999",
         "--prevalence", "0.9999999999999999",
     ],
+    # A subnormal variance product whose sigma, 2.18e154, is a double: the
+    # risk mode reads the variance factor scaled, as the --p/--q mode does.
+    "bounds-risk-tiny-exposure.json": [
+        "bounds", "--risk-exposed", "0.3", "--risk-unexposed", "0.6",
+        "--exposure", "1e-308",
+    ],
     "diverge-table.txt": [
         "kepler", "diverge-table", "--m", "1.5707963", "--eps", "0.8",
         "--max-order", "3", "--format", "text",

@@ -34,6 +34,7 @@ from keplor.effect_bounds import (
     sigma2_by_exposure,
     sigma2_by_prevalence,
     standardized_effect,
+    summarize_risk,
 )
 from keplor.numerics import normal_cdf, normal_quantile, p_to_z, z_to_p
 
@@ -234,6 +235,20 @@ def test_standardized_effect_by_direct_quotient_logit_difference_and_scaled_form
     got = [standardized_effect(RiskParams(a, b, v)) for a, b, v, *_ in rows]
     rels = [standardized_effect_tolerance(log_odds) for *_, log_odds, _ in rows]
     assert got == within_each([row[-1] for row in rows], rels)
+
+
+def test_summary_where_a_variance_product_is_subnormal():
+    # 1e-308 * 0.3 * 0.7 is subnormal, but sigma and the effect are doubles;
+    # sigma, ln OR and the effect to 18-20 of 50 digits from mpmath 1.3.  Sigma
+    # is allowed half the variance factor's roundings, the root's and the
+    # reference's.
+    risk = RiskParams(0.3, 0.6, 1e-308)
+    summary = summarize_risk(risk)
+    sigma_rel = VARIANCE_FACTOR_MAX_RELATIVE_ERROR / 2 + 2 * 2.0**-53
+    assert summary.sigma == pytest.approx(2.1821789023599239347e154, rel=sigma_rel, abs=0)
+    rel = standardized_effect_tolerance(-1.252762968495367956)
+    assert summary.standardized == pytest.approx(-5.74088113096760159e-155, rel=rel, abs=0)
+    assert summary.standardized == standardized_effect(risk)
 
 
 # bounds --p/--q argvs, with ln OR and the standardized effect of their

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from draws import PROBABILITIES
 from goldens import GOLDENS, leaves
 from keplor import cli
 from keplor.cli import build_parser, main, run
@@ -458,10 +459,19 @@ class TestDomainErrors:
                 "derived exposure 1.0 falls outside (0, 1)",
             ),
             (["bounds", "--or", "4", "--rr", "1e-20"], "derived exposure 1.0 falls outside (0, 1)"),
-            # The design variance 1/(v*re*(1-re)) + ... overflows for risks of
-            # 5e-324, and so does the odds ratio 0.3/0.7 over 5e-324.
+            # Risks of 5e-324 have sigma 9.0e161, but their mix, the prevalence,
+            # underflows to 0.  With exposure 5e-324 too, sigma is about
+            # 2**1074, past the largest double; so is the odds ratio 0.3/0.7
+            # over 5e-324.
             (
                 ["bounds", "--risk-exposed", "5e-324", "--risk-unexposed", "5e-324"],
+                "derived prevalence 0.0 falls outside (0, 1)",
+            ),
+            (
+                [
+                    "bounds", "--risk-exposed", "5e-324", "--risk-unexposed", "0.5",
+                    "--exposure", "5e-324",
+                ],
                 "derived sigma inf falls outside (0, inf)",
             ),
             (
@@ -660,18 +670,6 @@ class TestRecordResults:
         _assert_fields(results, risk_to_cohort(risks))
 
 
-def _probability(mantissa, exponent, complement):
-    """A double drawn by mantissa and exponent in (0, 1), or 1 minus it: 1.0
-    for the tiniest draws, which both input modes reject."""
-    x = math.ldexp(1.0 + mantissa / 2.0**52, exponent)
-    return 1.0 - x if complement else x
-
-
-_PROBABILITIES = st.builds(
-    _probability, st.integers(0, 2**52 - 1), st.integers(-1074, -1), st.booleans()
-)
-
-
 def _quiet_results(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -679,19 +677,33 @@ def _quiet_results(argv):
     return code, json.loads(out.getvalue())["results"]
 
 
+def _both_modes(p, q, w):
+    """The exit codes and results of bounds --p/--q and of its transpose."""
+    cohort = _quiet_results(["bounds", f"--p={p!r}", f"--q={q!r}", f"--prevalence={w!r}"])
+    risk = _quiet_results(
+        ["bounds", f"--risk-exposed={p!r}", f"--risk-unexposed={q!r}", f"--exposure={w!r}"]
+    )
+    return cohort, risk
+
+
 class TestTransposition:
-    @given(p=_PROBABILITIES, q=_PROBABILITIES, w=_PROBABILITIES)
+    @given(p=PROBABILITIES, q=PROBABILITIES, w=PROBABILITIES)
     @example(p=0.667, q=0.9999999999999999, w=0.9999999999999999)
     @example(p=0.5, q=1e-14, w=0.5)
+    @example(p=0.3, q=0.6, w=1e-308)
     def test_cohort_and_risk_modes_read_one_table(self, p, q, w):
         # The cohort triple (p, q, w) is the risk triple of the transposed
         # table, whose cells are the design's: one odds ratio, one effect.
-        cohort = _quiet_results(["bounds", f"--p={p!r}", f"--q={q!r}", f"--prevalence={w!r}"])
-        risk = _quiet_results(
-            ["bounds", f"--risk-exposed={p!r}", f"--risk-unexposed={q!r}", f"--exposure={w!r}"]
-        )
+        cohort, risk = _both_modes(p, q, w)
         if cohort[0] != 0 or risk[0] != 0:
             return
+        for key in ("odds_ratio", "standardized_effect"):
+            assert repr(cohort[1][key]) == repr(risk[1][key]), key
+
+    def test_a_subnormal_variance_product_is_answered_in_both_modes(self):
+        # 1e-308 * 0.3 * 0.7 is subnormal, but sigma, 2.18e154, is a double.
+        cohort, risk = _both_modes(0.3, 0.6, 1e-308)
+        assert (cohort[0], risk[0]) == (0, 0)
         for key in ("odds_ratio", "standardized_effect"):
             assert repr(cohort[1][key]) == repr(risk[1][key]), key
 

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from draws import PROBABILITIES
 from keplor import effect_bounds
 from keplor.contingency import RiskParams
 from keplor.effect_bounds import (
@@ -256,10 +257,16 @@ class TestStandardizedEffect:
             summarize_risk(risks)
 
     def test_summary_names_an_overflow_as_derived(self):
+        # Risks of 5e-324 have sigma2 = 2**1076 / (1 - 2**-1074), whose
+        # root 2**538 is a double (50 digits: 8.9978275890863927656e161).
+        summary = summarize_risk(RiskParams(5e-324, 5e-324, 0.5))
+        assert summary.sigma == 8.997827589086393e161 == 2.0**538
+        assert summary.standardized == 0.0
         # standardized_effect answers past the double range; the summary
         # cannot hold an infinite sigma or odds ratio, and says it derived it.
+        # Here sigma is about 2**1074.
         with pytest.raises(InconsistentParams, match=r"^derived sigma inf falls outside \(0, inf\)$"):
-            summarize_risk(RiskParams(5e-324, 5e-324, 0.5))
+            summarize_risk(RiskParams(5e-324, 0.5, 5e-324))
         with pytest.raises(InconsistentParams, match=r"^derived odds_ratio inf "):
             summarize_risk(RiskParams(0.3, 5e-324, 0.5))
 
@@ -302,16 +309,23 @@ class TestStandardizedEffect:
         assert standardized_effect(risk) == pytest.approx(expected, rel=1e-15, abs=0)
         assert summary.standardized == standardized_effect(risk)
 
-    @given(probs, probs, probs)
+    @given(PROBABILITIES, PROBABILITIES, PROBABILITIES)
     def test_in_range_keeps_the_direct_quotient(self, risk_exposed, risk_unexposed, exposure):
-        risks = RiskParams(risk_exposed, risk_unexposed, exposure)
+        # While both variance products and the odds ratio are normal doubles,
+        # every reader of the variance factor gives the direct form's bits.
+        first = exposure * risk_exposed * (1.0 - risk_exposed)
+        second = (1.0 - exposure) * risk_unexposed * (1.0 - risk_unexposed)
+        assume(min(first, second) >= sys.float_info.min)
         odds_ratio = (risk_exposed / (1.0 - risk_exposed)) / (
             risk_unexposed / (1.0 - risk_unexposed)
         )
-        direct = math.log(odds_ratio) / math.sqrt(
-            sigma2_by_exposure(exposure, risk_exposed, risk_unexposed)
-        )
-        assert standardized_effect(risks) == direct
+        assume(sys.float_info.min <= odds_ratio < math.inf)
+        sigma2 = 1.0 / first + 1.0 / second
+        risks = RiskParams(risk_exposed, risk_unexposed, exposure)
+        assert sigma2_by_exposure(exposure, risk_exposed, risk_unexposed) == sigma2
+        assert sigma2_by_prevalence(exposure, risk_exposed, risk_unexposed) == sigma2
+        assert standardized_effect(risks) == math.log(odds_ratio) / math.sqrt(sigma2)
+        assert summarize_risk(risks).sigma == math.sqrt(sigma2)
 
     def test_summary_bundles_consistently(self):
         risks = RiskParams(0.5, 0.2, 0.35)
