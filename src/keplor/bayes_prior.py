@@ -72,12 +72,7 @@ def flattest_prior(
     ratio = math.log(or_threshold) / assumed_sigma / quantile
     variance = ratio * ratio
     _check_derived("prior_variance", variance, math.inf)
-    return PriorSpec(
-        or_threshold=or_threshold,
-        tail_mass=tail_mass,
-        assumed_sigma=assumed_sigma,
-        prior_variance=variance,
-    )
+    return PriorSpec(or_threshold, tail_mass, assumed_sigma, variance)
 
 
 def flattest_sigma(or_threshold: float) -> float:

@@ -147,8 +147,10 @@ def _bounds_results(args: argparse.Namespace) -> dict:
     risks = contingency.RiskParams(args.risk_exposed, args.risk_unexposed, exposure)
     summary = effect_bounds.summarize_risk(risks)
     cohort = contingency.risk_to_cohort(risks)
-    v_min = effect_bounds.min_variance_exposure(
-        summary.risk_ratio, summary.odds_ratio
+    # sigma2_by_exposure is sigma2_by_prevalence of the same triple, so the
+    # two share a minimizer, taken from the risks with no ratio in between.
+    v_min = effect_bounds._variance_minimizer(
+        args.risk_exposed, args.risk_unexposed, "exposure"
     )
     return {
         **_renamed(summary, standardized="standardized_effect"),

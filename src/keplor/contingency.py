@@ -48,11 +48,19 @@ class TwoByTwoTable(_Record):
     n22: int
 
     def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            _check_integer(name, value, 0)
-        if self.n11 + self.n12 < 1:
+        n11, n12, n21, n22 = self.n11, self.n12, self.n21, self.n22
+        # One comparison passes a valid record; only a failing one runs the
+        # helpers, which name the first bad field.  RiskParams and
+        # CohortParams check the same way.
+        if not (
+            type(n11) is int and type(n12) is int and type(n21) is int
+            and type(n22) is int and n11 >= 0 and n12 >= 0 and n21 >= 0 and n22 >= 0
+        ):
+            for name, value in self.__dict__.items():
+                _check_integer(name, value, 0)
+        if n11 + n12 < 1:
             raise ZeroMargin("table has no cases (first row sums to zero)")
-        if self.n21 + self.n22 < 1:
+        if n21 + n22 < 1:
             raise ZeroMargin("table has no controls (second row sums to zero)")
 
     @property
@@ -85,8 +93,10 @@ class CohortParams(_Record):
     prevalence: float
 
     def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            _check_probability(name, value)
+        p, q, w = self.exposure_cases, self.exposure_controls, self.prevalence
+        if not (0.0 < p < 1.0 and 0.0 < q < 1.0 and 0.0 < w < 1.0):
+            for name, value in self.__dict__.items():
+                _check_probability(name, value)
 
 
 class RiskParams(_Record):
@@ -97,8 +107,10 @@ class RiskParams(_Record):
     exposure: float
 
     def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            _check_probability(name, value)
+        re_, ru, v = self.risk_exposed, self.risk_unexposed, self.exposure
+        if not (0.0 < re_ < 1.0 and 0.0 < ru < 1.0 and 0.0 < v < 1.0):
+            for name, value in self.__dict__.items():
+                _check_probability(name, value)
 
 
 class EffectSummary(_Record):
@@ -271,6 +283,5 @@ def odds_and_risk_ratio(risk: RiskParams) -> EffectRatios:
     odds_exposed = risk.risk_exposed / (1.0 - risk.risk_exposed)
     odds_unexposed = risk.risk_unexposed / (1.0 - risk.risk_unexposed)
     return EffectRatios(
-        odds_ratio=odds_exposed / odds_unexposed,
-        risk_ratio=risk.risk_exposed / risk.risk_unexposed,
+        odds_exposed / odds_unexposed, risk.risk_exposed / risk.risk_unexposed
     )

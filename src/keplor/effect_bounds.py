@@ -138,15 +138,19 @@ def min_variance_prevalence(exposure_cases: float, exposure_controls: float) -> 
     """
     _check_probability("exposure_cases", exposure_cases)
     _check_probability("exposure_controls", exposure_controls)
-    p, q = exposure_cases, exposure_controls
-    prevalence = 1.0 / (1.0 + math.sqrt((p * (1.0 - p)) / (q * (1.0 - q))))
-    if not 0.0 < prevalence < 1.0:
+    return _variance_minimizer(exposure_cases, exposure_controls, "prevalence")
+
+
+def _variance_minimizer(p: float, q: float, name: str) -> float:
+    """The w minimizing the variance factor of (w, p, q); errors call it `name`."""
+    w = 1.0 / (1.0 + math.sqrt((p * (1.0 - p)) / (q * (1.0 - q))))
+    if not 0.0 < w < 1.0:
         # The quotient overflowed or vanished; the balanced form
         # sqrt(q(1-q)) / (sqrt(p(1-p)) + sqrt(q(1-q))) does neither.
         root_p, root_q = math.sqrt(p * (1.0 - p)), math.sqrt(q * (1.0 - q))
-        prevalence = root_q / (root_p + root_q)
-        _check_derived("prevalence", prevalence)
-    return prevalence
+        w = root_q / (root_p + root_q)
+        _check_derived(name, w)
+    return w
 
 
 def min_variance_exposure(risk_ratio: float, odds_ratio: float) -> float:
@@ -176,7 +180,7 @@ def optimal_risk(odds_ratio: float) -> RiskParams:
     high = 1.0 - low
     _check_derived("risk_exposed" if root >= 1.0 else "risk_unexposed", high)
     risk_exposed, risk_unexposed = (high, low) if root >= 1.0 else (low, high)
-    return RiskParams(risk_exposed, risk_unexposed, exposure=0.5)
+    return RiskParams(risk_exposed, risk_unexposed, 0.5)
 
 
 def standardized_effect(risk: RiskParams) -> float:
@@ -214,11 +218,7 @@ def summarize_risk(risk: RiskParams) -> EffectSummary:
     _check_derived("odds_ratio", ratios.odds_ratio, math.inf)
     _check_derived("sigma", sigma, math.inf)
     return EffectSummary(
-        odds_ratio=ratios.odds_ratio,
-        risk_ratio=ratios.risk_ratio,
-        log_odds=log_odds,
-        sigma=sigma,
-        standardized=log_odds / sigma,
+        ratios.odds_ratio, ratios.risk_ratio, log_odds, sigma, log_odds / sigma
     )
 
 

@@ -8,7 +8,7 @@ Laplace limit constant that caps the standardized log odds ratio in
 effect_bounds.  The root of x*tanh(x) = 1 is solved once, here, with
 `numerics.find_root`, and `series_radius` is the one evaluation of the
 constant; `bound_constants().laplace_limit` is that value.  `kepler_solve`
-keeps its own bracketed Newton loop, specialised to the reduced Kepler
+runs its own bracketed Newton loop, specialised to the reduced Kepler
 problem for speed.
 """
 
@@ -53,8 +53,10 @@ class KeplerProblem(_Record):
     eccentricity: float
 
     def __post_init__(self) -> None:
-        _check_finite("mean_anomaly", self.mean_anomaly)
-        _check_eccentricity(self.eccentricity)
+        # One comparison first; the helpers run only to name a bad field.
+        if not (math.isfinite(self.mean_anomaly) and 0.0 <= self.eccentricity < 1.0):
+            _check_finite("mean_anomaly", self.mean_anomaly)
+            _check_eccentricity(self.eccentricity)
 
 
 class KeplerSolution(_Record):
@@ -93,55 +95,42 @@ def _reduce(m: float) -> tuple[float, float, float]:
     return -r, -1.0, base
 
 
-def _solve_reduced(m: float, ecc: float, tol: float) -> tuple[float, float, int] | None:
-    """Solve on the reduced domain m in [0, pi]; returns (E, residual, iterations).
-
-    Newton from the starter m + ecc*sin(m), which provably lies in the
-    enclosure [m, min(pi, m + ecc)].  Every candidate step is kept inside the
-    current sign-change enclosure (an escaping step is replaced by the
-    midpoint), so the iteration cannot wander.  Past _NEWTON_BUDGET
-    iterations it returns None, and kepler_solve raises NoConvergence naming
-    the caller's mean anomaly; on every tested input that happens only when
-    tol lies below the rounding error of the residual itself.
-    """
-    if ecc == 0.0 or m == 0.0 or m == math.pi:
-        return m, abs(ecc * math.sin(m)), 0
-    lo, hi = m, min(math.pi, m + ecc)
-    x = m + ecc * math.sin(m)
-    for iteration in range(1, _NEWTON_BUDGET + 1):
-        fx = x - ecc * math.sin(x) - m
-        if abs(fx) <= tol:
-            return x, abs(fx), iteration
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        candidate = x - fx / (1.0 - ecc * math.cos(x))
-        x = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    return None
-
-
 def kepler_solve(problem: KeplerProblem, tol: float = 1e-12) -> KeplerSolution:
     """Solve M = E - ecc*sin(E) for E.
 
     The mean anomaly is reduced modulo 2*pi and reflected into [0, pi] before
     solving (E(-M) = -E(M)), then the reduction is undone; on the reduced
-    domain the solution satisfies E in [M, M + ecc].
+    domain the solution satisfies E in [M, M + ecc].  Newton starts from
+    m + ecc*sin(m), which provably lies in the enclosure [m, min(pi, m + ecc)].
+    Every candidate step is kept inside the current sign-change enclosure (an
+    escaping step is replaced by the midpoint), so the iteration cannot
+    wander.  Past _NEWTON_BUDGET iterations NoConvergence names the caller's
+    mean anomaly; on every tested input that happens only when tol lies below
+    the rounding error of the residual itself.
     """
     _check_positive("tol", tol)
-    reduced, sign, base = _reduce(problem.mean_anomaly)
-    solved = _solve_reduced(reduced, problem.eccentricity, tol)
-    if solved is None:
-        raise NoConvergence(
-            f"kepler solve stalled at m={problem.mean_anomaly!r}, "
-            f"eccentricity={problem.eccentricity!r}, tol={tol!r}"
-        )
-    root, residual, iterations = solved
-    return KeplerSolution(
-        eccentric_anomaly=sign * root + base,
-        residual=residual,
-        method="newton",
-        iterations_or_order=iterations,
+    m, sign, base = _reduce(problem.mean_anomaly)
+    ecc = problem.eccentricity
+    sin, cos, pi = math.sin, math.cos, math.pi
+    if ecc == 0.0 or m == 0.0 or m == pi:
+        return KeplerSolution(sign * m + base, abs(ecc * sin(m)), "newton", 0)
+    lo, hi = m, m + ecc
+    if hi > pi:
+        hi = pi
+    x = m + ecc * sin(m)
+    for iteration in range(1, _NEWTON_BUDGET + 1):
+        fx = x - ecc * sin(x) - m
+        if abs(fx) <= tol:
+            return KeplerSolution(sign * x + base, abs(fx), "newton", iteration)
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        candidate = x - fx / (1.0 - ecc * cos(x))
+        x = candidate if lo < candidate < hi else 0.5 * (lo + hi)
+    raise NoConvergence(
+        f"kepler solve stalled at m={problem.mean_anomaly!r}, "
+        f"eccentricity={problem.eccentricity!r}, tol={tol!r}"
     )
 
 
@@ -203,12 +192,7 @@ def kepler_series(problem: KeplerProblem, order: int) -> KeplerSolution:
     total = sums[-1]
     ecc = problem.eccentricity
     residual = abs(total - ecc * math.sin(total) - reduced)
-    return KeplerSolution(
-        eccentric_anomaly=sign * total + base,
-        residual=residual,
-        method="series",
-        iterations_or_order=order,
-    )
+    return KeplerSolution(sign * total + base, residual, "series", order)
 
 
 def series_partial_sums(problem: KeplerProblem, max_order: int) -> list[float]:

@@ -691,14 +691,33 @@ class TestTransposition:
     @example(p=0.667, q=0.9999999999999999, w=0.9999999999999999)
     @example(p=0.5, q=1e-14, w=0.5)
     @example(p=0.3, q=0.6, w=1e-308)
+    @example(p=3.4616494723716854e-157, q=4.798226947564728e-125, w=1.599317181028437e-122)
     def test_cohort_and_risk_modes_read_one_table(self, p, q, w):
         # The cohort triple (p, q, w) is the risk triple of the transposed
-        # table, whose cells are the design's: one odds ratio, one effect.
+        # table, whose cells are the design's: one odds ratio, one effect,
+        # and one variance factor, so one minimizer and its sigma.
         cohort, risk = _both_modes(p, q, w)
         if cohort[0] != 0 or risk[0] != 0:
             return
-        for key in ("odds_ratio", "standardized_effect"):
+        for key in ("odds_ratio", "standardized_effect", "sigma_at_min"):
             assert repr(cohort[1][key]) == repr(risk[1][key]), key
+        assert repr(cohort[1]["min_variance_prevalence"]) == repr(
+            risk[1]["min_variance_exposure"]
+        )
+
+    def test_risk_mode_answers_a_minimizer_one_step_below_one(self):
+        # rr/sqrt(or) = 8.5e-17 here, so 1/(1 + rr/sqrt(or)) rounds to 1.0;
+        # the minimizer taken from the risks is 1 - 2**-53, as in --p/--q mode.
+        risk = _quiet_results(
+            [
+                "bounds", "--risk-exposed", "3.4616494723716854e-157",
+                "--risk-unexposed", "4.798226947564728e-125",
+                "--exposure", "1.599317181028437e-122",
+            ]
+        )
+        assert risk[0] == 0
+        assert risk[1]["min_variance_exposure"] == 0.9999999999999999
+        assert risk[1]["sigma_at_min"] == 1.6996459177669439e78
 
     def test_a_subnormal_variance_product_is_answered_in_both_modes(self):
         # 1e-308 * 0.3 * 0.7 is subnormal, but sigma, 2.18e154, is a double.

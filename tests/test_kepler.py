@@ -128,6 +128,64 @@ class TestSolver:
             kepler_solve(KeplerProblem(1.0, 0.5), tol=tol)
 
 
+# (M, eccentricity, tol, E.hex(), residual.hex(), iterations), frozen from the
+# solver before its Newton loop moved into kepler_solve: the same float
+# operations in the same order give these bits.  They cover negative M,
+# |M| > 2*pi, e = 0, M = 0 and pi, the near-parabolic corner, tol 1e-13 and
+# loose tolerances.
+FROZEN_SOLVES = [
+    (1.0, 0.5, 1e-12, '0x1.7faae0a2eff23p+0', '0x1.0000000000000p-52', 5),
+    (0.5, 0.1, 1e-12, '0x1.1adea826eaa27p-1', '0x1.4800000000000p-47', 3),
+    (2.0, 0.9, 1e-12, '0x1.42dcdedbcbc35p+1', '0x0.0p+0', 5),
+    (3.0, 0.99, 1e-12, '0x1.8903378093174p+1', '0x0.0p+0', 4),
+    (-1.0, 0.5, 1e-12, '-0x1.7faae0a2eff23p+0', '0x1.0000000000000p-52', 5),
+    (-2.5, 0.7, 1e-12, '-0x1.61552c6740ae6p+1', '0x1.0000000000000p-48', 4),
+    (-0.001, 0.999, 1e-12, '-0x1.5de71b2f4a98ep-3', '0x1.7142000000000p-45', 10),
+    (-9.9, 0.3, 1e-12, '-0x1.3959f013e48cap+3', '0x0.0p+0', 4),
+    (7.0, 0.5, 1e-12, '0x1.dd92f743a2e63p+2', '0x0.0p+0', 5),
+    (-7.0, 0.5, 1e-12, '-0x1.dd92f743a2e63p+2', '0x0.0p+0', 5),
+    (100.0, 0.8, 1e-12, '0x1.8cea269885adap+6', '0x0.0p+0', 6),
+    (-1234.5, 0.6, 1e-12, '-0x1.34a37fb609b48p+10', '0x0.0p+0', 4),
+    (1000000.0, 0.95, 1e-12, '0x1.e847e3079e63ap+19', '0x0.0p+0', 7),
+    (6.283185307179586, 0.4, 1e-12, '0x1.921fb54442d18p+2', '0x0.0p+0', 0),
+    (9.42477796076938, 0.4, 1e-12, '0x1.2d97c7f3321d2p+3', '0x1.c3d09eb53c672p-55', 0),
+    (1.2, 0.0, 1e-12, '0x1.3333333333333p+0', '0x0.0p+0', 0),
+    (-5.0, 0.0, 1e-12, '-0x1.4000000000000p+2', '0x0.0p+0', 0),
+    (0.0, 0.9, 1e-12, '0x0.0p+0', '0x0.0p+0', 0),
+    (3.141592653589793, 0.9, 1e-12, '0x1.921fb54442d18p+1', '0x1.fc4ab28be3f40p-54', 0),
+    (-3.141592653589793, 0.9, 1e-12, '-0x1.921fb54442d18p+1', '0x1.fc4ab28be3f40p-54', 0),
+    (3.141592652589793, 0.9, 1e-12, '0x1.921fb54321792p+1', '0x0.0p+0', 2),
+    (1.5707963267948966, 0.6, 1e-12, '0x1.0bb0aae524fbcp+1', '0x1.7000000000000p-46', 4),
+    (1e-12, 0.999999999999, 1e-12, '0x1.19799812de065p-39', '0x1.19799812dc361p-40', 1),
+    (1e-09, 0.999999999, 1e-12, '0x1.dc0f0ecdd5b72p-10', '0x1.aee4a5ac00000p-52', 19),
+    (1e-06, 0.999999, 1e-12, '0x1.27ea5dd699e36p-6', '0x1.4f0d49cc00000p-42', 15),
+    (0.0003, 0.9999, 1e-12, '0x1.eba7103e7ee98p-4', '0x1.6100000000000p-56', 10),
+    (0.01, 0.99, 1e-12, '0x1.5e7c1c1ee51ccp-2', '0x1.b000000000000p-55', 9),
+    (-1e-10, 0.99999999999, 1e-12, '-0x1.ba4609b21ebd1p-11', '0x1.01dfea1091400p-44', 20),
+    (2.5, 0.999999999999, 1e-12, '0x1.68b3ccd1cf683p+1', '0x1.e000000000000p-45', 4),
+    (1e-300, 0.999, 1e-12, '0x1.56b6189a8b2b7p-996', '0x1.563284541d445p-997', 1),
+    (5e-324, 0.5, 1e-12, '0x0.0000000000001p-1022', '0x0.0p+0', 1),
+    (1.0, 0.5, 1e-13, '0x1.7faae0a2eff23p+0', '0x1.0000000000000p-52', 5),
+    (2.0, 0.9, 1e-13, '0x1.42dcdedbcbc35p+1', '0x0.0p+0', 5),
+    (-3.0, 0.99, 1e-13, '-0x1.8903378093174p+1', '0x0.0p+0', 4),
+    (0.1, 0.999, 1e-13, '0x1.b3fe6d9d80e06p-1', '0x1.0000000000000p-55', 7),
+    (1e-08, 0.99999999, 1e-13, '0x1.003ae31ef5186p-8', '0x1.ebdcf18000000p-53', 19),
+    (1.0, 0.5, 0.001, '0x1.7fc43c06fe96ep+0', '0x1.8723883035000p-12', 3),
+    (0.2, 0.2, 1e-06, '0x1.feae59662192bp-3', '0x1.a8b0000000000p-43', 3),
+    (6.0, 0.75, 1e-09, '0x1.5c268a05955f8p+2', '0x1.4936000000000p-37', 5),
+    (-0.3, 0.95, 1e-13, '-0x1.2d6d5ebc66872p+0', '0x1.0000000000000p-54', 7),
+]
+
+
+class TestFrozenBits:
+    @pytest.mark.parametrize("m,ecc,tol,root,residual,iterations", FROZEN_SOLVES)
+    def test_solve_keeps_its_bits(self, m, ecc, tol, root, residual, iterations):
+        solution = kepler_solve(KeplerProblem(m, ecc), tol=tol)
+        assert solution.eccentric_anomaly.hex() == root
+        assert solution.residual.hex() == residual
+        assert solution.iterations_or_order == iterations
+
+
 class TestSeriesCoefficients:
     def test_low_order_terms(self):
         assert _harmonic_terms(1) == ((1, 1.0),)

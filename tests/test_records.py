@@ -4,8 +4,13 @@ The reprs are frozen from the dataclass implementation the records replaced,
 so the text users see in logs and tracebacks stays the same.
 """
 
-import pytest
+import math
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
+from draws import PROBABILITIES
 from keplor import (
     BoundConstants,
     Bracket,
@@ -19,7 +24,9 @@ from keplor import (
     TwoByTwoTable,
     VerificationReport,
 )
-from keplor.errors import _Record
+from keplor.errors import ZeroMargin, _Record, _check_finite, _check_integer
+from keplor.errors import _check_probability
+from keplor.kepler import _check_eccentricity
 
 RISK = RiskParams(0.3, 0.2, 0.5)
 
@@ -165,3 +172,87 @@ def test_a_field_may_share_the_name_of_the_generated_local():
     record = Shadowed(1, 2, rest=3)
     assert vars(record) == {"_d": 1, "_d_": 2, "rest": 3}
     assert repr(record).endswith(".Shadowed(_d=1, _d_=2, rest=3)")
+
+
+class _Count(int):
+    """An int subclass: the helpers take it, the one-comparison checks do not."""
+
+
+# Values past every check's edge: bools, floats given as counts, negatives,
+# NaN, infinities, 0, 1, subnormals, ints past 10**308, and non-numbers.
+_EDGES = st.sampled_from(
+    [
+        True, False, 0, 1, -1, 0.0, -0.0, 1.0, 3.0, -2.5, 0.5, math.nan, math.inf,
+        -math.inf, 5e-324, 2.0**-1022, 1.0 - 2.0**-53, 10**309, -(10**309),
+        _Count(0), _Count(7), Fraction(1, 3), "0.5", None,
+    ]
+)
+_COUNTS = st.integers(0, 10**6) | st.integers(10**308, 10**320)
+_OUTSIDE_UNIT = st.floats(max_value=0.0) | st.floats(min_value=1.0)
+
+
+def _check_kepler_field(name, value):
+    if name == "mean_anomaly":
+        _check_finite(name, value)
+    else:
+        _check_eccentricity(value)
+
+
+# Each record's field helper, the values it passes, and values of the right
+# type that it refuses (for KeplerProblem, any float: each field refuses some).
+_FIELD_CHECKS = {
+    TwoByTwoTable: (
+        lambda name, value: _check_integer(name, value, 0),
+        _COUNTS,
+        st.integers(max_value=-1),
+    ),
+    RiskParams: (_check_probability, PROBABILITIES, _OUTSIDE_UNIT),
+    CohortParams: (_check_probability, PROBABILITIES, _OUTSIDE_UNIT),
+    KeplerProblem: (
+        _check_kepler_field,
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(),
+    ),
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the type and message are what is compared
+        return exc
+
+
+@pytest.mark.parametrize(
+    "cls,first",
+    [(cls, i) for cls in _FIELD_CHECKS for i in range(len(cls.__match_args__) + 1)],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+@given(data=st.data())
+def test_one_comparison_checks_match_the_field_helpers(cls, first, data):
+    # A record raises what each field's helper, applied in field order,
+    # raises first; a record the helpers pass stores its arguments as given.
+    # The fields before `first` hold values the helper passes, the field at
+    # `first` one it may refuse, and the fields after it anything.
+    check, valid, refused = _FIELD_CHECKS[cls]
+    fields = cls.__match_args__
+    choices = (
+        [valid] * first + [refused | _EDGES] + [valid | refused | _EDGES] * len(fields)
+    )
+    values = [data.draw(choice) for choice in choices[: len(fields)]]
+
+    def helpers():
+        for name, value in zip(fields, values):
+            check(name, value)
+
+    expected = _outcome(helpers)
+    record = _outcome(lambda: cls(*values))
+    if isinstance(expected, Exception):
+        assert (type(record), str(record)) == (type(expected), str(expected))
+    elif isinstance(record, ZeroMargin):
+        assert cls is TwoByTwoTable
+        assert values[0] + values[1] < 1 or values[2] + values[3] < 1
+    else:
+        assert type(record) is cls
+        for name, value in zip(fields, values):
+            assert vars(record)[name] is value
