@@ -136,9 +136,9 @@ def _bounds_results(args: argparse.Namespace) -> dict:
                 summary.odds_ratio
             ),
             "min_variance_prevalence": w_min,
-            "sigma_at_min": math.sqrt(
-                effect_bounds.sigma2_by_prevalence(w_min, p, q)
-            ),
+            "sigma_at_min": effect_bounds.summarize_risk(
+                contingency.RiskParams(p, q, w_min)
+            ).sigma,
             "prevalence_used": prevalence,
             **vars(risks),
             "standardized_effect": summary.standardized,
@@ -156,11 +156,9 @@ def _bounds_results(args: argparse.Namespace) -> dict:
         **_renamed(summary, standardized="standardized_effect"),
         **vars(cohort),
         "min_variance_exposure": v_min,
-        "sigma_at_min": math.sqrt(
-            effect_bounds.sigma2_by_exposure(
-                v_min, args.risk_exposed, args.risk_unexposed
-            )
-        ),
+        "sigma_at_min": effect_bounds.summarize_risk(
+            contingency.RiskParams(args.risk_exposed, args.risk_unexposed, v_min)
+        ).sigma,
     }
 
 

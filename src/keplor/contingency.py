@@ -238,13 +238,14 @@ def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
 
 
 def _bayes_quotient(weight: float, share: float, mix: float) -> float:
-    """weight*share/mix, scaled by 2**54 where the product alone is subnormal."""
-    product = weight * share
-    if 0.0 < product < sys.float_info.min <= mix:
-        # On the subnormal grid the product has lost bits, and the divide
-        # magnifies that error; scaled, it keeps them.
-        return weight * math.ldexp(share, 54) / math.ldexp(mix, 54)
-    return product / mix
+    """weight*share/mix, with all three scaled so that the mix is in [2**53, 2**54).
+
+    The product then keeps its bits wherever the quotient is at least 2**-1075.
+    """
+    scale = 54 - math.frexp(mix)[1]
+    half = scale // 2  # split between two factors of at most 1: neither overflows
+    product = math.ldexp(weight, half) * math.ldexp(share, scale - half)
+    return product / math.ldexp(mix, scale)
 
 
 def cohort_to_risk(cohort: CohortParams) -> RiskParams:

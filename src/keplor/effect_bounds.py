@@ -157,12 +157,17 @@ def min_variance_exposure(risk_ratio: float, odds_ratio: float) -> float:
     """Pooled exposure minimizing sigma2_by_exposure: 1/(1 + rr/sqrt(or)).
 
     Consistency of the (risk_ratio, odds_ratio) pair is the caller's
-    responsibility; the formula is evaluated as stated for any positive pair.
+    responsibility; the formula is evaluated as stated for any positive pair,
+    and as 1 - x/(1 + x), x = rr/sqrt(or), where it rounds to 1.
     Raises InconsistentParams where the minimizer rounds to 0 or 1.
     """
     _check_positive("risk_ratio", risk_ratio)
     _check_positive("odds_ratio", odds_ratio)
-    exposure = 1.0 / (1.0 + risk_ratio / math.sqrt(odds_ratio))
+    x = risk_ratio / math.sqrt(odds_ratio)
+    exposure = 1.0 / (1.0 + x)
+    if exposure == 1.0:
+        # 1 + x rounded to 1, but its complement x/(1 + x) still carries x.
+        exposure = 1.0 - x / (1.0 + x)
     _check_derived("exposure", exposure)
     return exposure
 

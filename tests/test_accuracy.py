@@ -8,6 +8,7 @@ rounded once to double.
 
 import json
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -275,6 +276,49 @@ def test_bounds_p_q_standardized_effect_from_its_own_inputs(
     assert code == 0
     got = json.loads(capsys.readouterr().out)["results"]["standardized_effect"]
     assert got == pytest.approx(expected, rel=standardized_effect_tolerance(log_odds), abs=0)
+
+
+# bounds argvs with one result each, against 60 digits from mpmath 1.3 (50 for
+# the minimizers), compared in Decimal, so the reference is not rounded to a
+# double.  The tolerance counts the roundings, each at most 2**-53 relative.
+SIGMA_AT_MIN = "1.70710678118655013206385384274608462721433467597026558946173e+155"
+BOUNDS_RESULTS = [
+    # w*p underflows to 0 while the mix is a normal double: the product, the
+    # quotient and the mix's three roundings.
+    ("--p 1e-200 --q 1e-300 --prevalence 1e-200", "risk_exposed",
+     "9.99999999999999939141432962956761351873703293041453519423309e-101", 5),
+    ("--risk-exposed 1e-200 --risk-unexposed 1e-300 --exposure 1e-200", "exposure_cases",
+     "9.99999999999999939141432962956761351873703293041453519423309e-101", 5),
+    # A subnormal mix, 2.209442572479012e-308: the product, the quotient and
+    # 1 - w, and the two products that round to the subnormal grid, half a
+    # step of 2**-1074 each.
+    ("--p 1e-323 --q 9.30491114065771e-308 --prevalence 0.7625509218648123",
+     "risk_exposed", "3.41036439137008016883647186784422710039583243012237928545794e-16",
+     3 + 2.0**-1074 / 2.209442572479012e-308 / 2.0**-53),
+    # 1/sqrt(p(1-p)) + 1/sqrt(q(1-q)): half the variance factor's five
+    # roundings, and the root's; the minimizer's error moves sigma only in
+    # second order.
+    ("--p 1e-310 --q 2e-310", "sigma_at_min", SIGMA_AT_MIN, 3.5),
+    ("--risk-exposed 1e-310 --risk-unexposed 2e-310", "sigma_at_min", SIGMA_AT_MIN, 3.5),
+    # 1 - x/(1 + x), x = rr/sqrt(or) near 1e-16: the subtraction rounds by at
+    # most 2**-54 below 1, and x/(1 + x)'s roundings are relative to x.
+    ("--or 1e32 --rr 1.1", "min_variance_exposure",
+     "0.99999999999999989000000000000000616960501541515737", 0.51),
+    ("--or 1e32 --rr 0.7", "min_variance_exposure",
+     "0.99999999999999993000000000000001121904887003833994", 0.51),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,key,expected,roundings", BOUNDS_RESULTS, ids=[row[0] for row in BOUNDS_RESULTS]
+)
+def test_bounds_results_where_a_product_underflows_or_a_mix_is_subnormal(
+    capsys, argv, key, expected, roundings
+):
+    assert run(["bounds", *argv.split()]) == 0
+    got = json.loads(capsys.readouterr().out)["results"][key]
+    rel = Decimal(roundings * 2.0**-53)
+    assert Decimal(got) == pytest.approx(Decimal(expected), rel=rel, abs=0)
 
 
 def normal(*values):

@@ -181,7 +181,7 @@ CASES = [
         "exposure must lie strictly inside (0, 1), got 1.0",
     ),
     (
-        lambda: contingency.cohort_to_risk(CohortParams(1e-300, 1e-300, 1e-300)),
+        lambda: contingency.cohort_to_risk(CohortParams(1e-300, 1e-10, 1e-300)),
         InconsistentParams,
         "derived risk_exposed 0.0 falls outside (0, 1)",
     ),

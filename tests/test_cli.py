@@ -987,6 +987,8 @@ class TestEnvelopeContract:
         text=False,
     )
     @example(argv=["bounds", "--p=5e-324", "--q=5e-324"], text=False)
+    @example(argv=["bounds", "--p=1e-310", "--q=2e-310"], text=False)
+    @example(argv=["bounds", "--risk-exposed=1e-310", "--risk-unexposed=2e-310"], text=False)
     @example(argv=["prior", "wm-pathway", "--or=1e-15", "--risk-exposed=0.5"], text=False)
     @example(argv=["prior", "wm-pathway", "--or=4", "--risk-exposed=1e-310"], text=False)
     @example(argv=["pz", "--z=nan"], text=False)
