@@ -118,47 +118,35 @@ def _bounds_results(args: argparse.Namespace) -> dict:
                 args.rr, odds_ratio
             )
         return results
+    # Both modes read the design as a risk triple (a, b, w); --p/--q's is that of
+    # the transposed table, which has the same cells. Each keeps its check order.
     if pq_mode:
-        p, q = args.p, args.q
-        _check_probability("--p", p)
-        _check_probability("--q", q)
-        w_min = effect_bounds.min_variance_prevalence(p, q)
-        prevalence = args.prevalence if args.prevalence is not None else w_min
-        risks = contingency.cohort_to_risk(
-            contingency.CohortParams(p, q, prevalence)
-        )
-        # The transposed table's risk triple: its cells, so its odds ratio and
-        # variance factor, are this design's, with no derived risk in between.
-        summary = effect_bounds.summarize_risk(contingency.RiskParams(p, q, prevalence))
-        return {
-            "odds_ratio": summary.odds_ratio,
-            "max_standardized_effect": effect_bounds.max_standardized_effect(
-                summary.odds_ratio
-            ),
-            "min_variance_prevalence": w_min,
-            "sigma_at_min": effect_bounds.summarize_risk(
-                contingency.RiskParams(p, q, w_min)
-            ).sigma,
-            "prevalence_used": prevalence,
-            **vars(risks),
-            "standardized_effect": summary.standardized,
-        }
-    exposure = args.exposure if args.exposure is not None else 0.5
-    risks = contingency.RiskParams(args.risk_exposed, args.risk_unexposed, exposure)
-    summary = effect_bounds.summarize_risk(risks)
-    cohort = contingency.risk_to_cohort(risks)
-    # sigma2_by_exposure is sigma2_by_prevalence of the same triple, so the
-    # two share a minimizer, taken from the risks with no ratio in between.
-    v_min = effect_bounds._variance_minimizer(
-        args.risk_exposed, args.risk_unexposed, "exposure"
-    )
+        a, b, third = args.p, args.q, "prevalence"
+        _check_probability("--p", a)
+        _check_probability("--q", b)
+        w_min = effect_bounds._variance_minimizer(a, b, third)
+        w = w_min if args.prevalence is None else args.prevalence
+        mapped = contingency.cohort_to_risk(contingency.CohortParams(a, b, w))
+        summary = effect_bounds.summarize_risk(contingency.RiskParams(a, b, w))
+    else:
+        a, b, third = args.risk_exposed, args.risk_unexposed, "exposure"
+        w = 0.5 if args.exposure is None else args.exposure
+        risks = contingency.RiskParams(a, b, w)
+        summary = effect_bounds.summarize_risk(risks)
+        mapped = contingency.risk_to_cohort(risks)
+        w_min = effect_bounds._variance_minimizer(a, b, third)
+    results = _renamed(summary, standardized="standardized_effect")
+    if pq_mode:
+        del results["risk_ratio"]  # p/q: a ratio of exposure probabilities
+    ceiling = effect_bounds.max_standardized_effect(summary.odds_ratio)
+    at_min = effect_bounds.summarize_risk(contingency.RiskParams(a, b, w_min))
     return {
-        **_renamed(summary, standardized="standardized_effect"),
-        **vars(cohort),
-        "min_variance_exposure": v_min,
-        "sigma_at_min": effect_bounds.summarize_risk(
-            contingency.RiskParams(args.risk_exposed, args.risk_unexposed, v_min)
-        ).sigma,
+        **results,
+        "max_standardized_effect": ceiling,
+        **vars(mapped),
+        f"min_variance_{third}": w_min,
+        f"{third}_used": w,
+        "sigma_at_min": at_min.sigma,
     }
 
 
@@ -292,14 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--p", type=float, help="exposure probability among cases")
     bounds.add_argument("--q", type=float, help="exposure probability among controls")
     bounds.add_argument(
-        "--prevalence", type=float, help="case prevalence (with --p/--q)"
+        "--prevalence",
+        type=float,
+        help="case prevalence (with --p/--q; default: the variance-minimizing one)",
     )
     bounds.add_argument("--risk-exposed", type=float, help="risk among the exposed")
     bounds.add_argument(
         "--risk-unexposed", type=float, help="risk among the unexposed"
     )
     bounds.add_argument(
-        "--exposure", type=float, help="pooled exposure (with the risk pair)"
+        "--exposure", type=float, help="pooled exposure (with the risks; default 0.5)"
     )
 
     leaf(

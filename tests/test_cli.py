@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -13,11 +14,13 @@ from draws import PROBABILITIES
 from goldens import GOLDENS, leaves
 from keplor import cli
 from keplor.cli import build_parser, main, run
-from keplor.contingency import RiskParams, risk_to_cohort
+from keplor.contingency import CohortParams, RiskParams, cohort_to_risk, risk_to_cohort
+from keplor.effect_bounds import max_standardized_effect, min_variance_prevalence
 from keplor.effect_bounds import summarize_risk
 from keplor.kepler import KeplerProblem, kepler_series, kepler_solve, mean_anomaly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def capture(capsys, argv):
@@ -41,6 +44,31 @@ class TestGoldenOutputs:
         first = capture(capsys, ["verify", "--samples", "500", "--seed", "3"])
         second = capture(capsys, ["verify", "--samples", "500", "--seed", "3"])
         assert first == second
+
+
+def _readme_commands():
+    """The argv of each `keplor ...` line in the README's sh blocks."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    lines = [
+        line for block in blocks if block.startswith("sh\n") for line in block.splitlines()
+    ]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("keplor ")]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_answers(self, capsys, monkeypatch, tmp_path):
+        # The README's examples run as written, table.txt included.
+        (tmp_path / "table.txt").write_text("20,10,10,20\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert ["bounds", "--p", "0.667", "--q", "0.333", "--prevalence", "0.5"] in commands
+        for argv in commands:
+            code, out, err = capture(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            if "--format" in argv and argv[argv.index("--format") + 1] == "text":
+                assert out.splitlines()[1] == "status=ok", argv
+            else:
+                assert json.loads(out)["status"] == "ok", argv
 
 
 class TestFormats:
@@ -301,22 +329,23 @@ class TestCommandDeclarations:
             (
                 "bounds --p 0.3 --q 0.2",
                 "p q",
-                "exposure max_standardized_effect min_variance_prevalence odds_ratio "
-                "prevalence_used risk_exposed risk_unexposed sigma_at_min "
-                "standardized_effect",
+                "exposure log_odds max_standardized_effect min_variance_prevalence "
+                "odds_ratio prevalence_used risk_exposed risk_unexposed sigma "
+                "sigma_at_min standardized_effect",
             ),
             (
                 "bounds --p 0.3 --q 0.2 --prevalence 0.1",
                 "p prevalence q",
-                "exposure max_standardized_effect min_variance_prevalence odds_ratio "
-                "prevalence_used risk_exposed risk_unexposed sigma_at_min "
-                "standardized_effect",
+                "exposure log_odds max_standardized_effect min_variance_prevalence "
+                "odds_ratio prevalence_used risk_exposed risk_unexposed sigma "
+                "sigma_at_min standardized_effect",
             ),
             (
                 "bounds --risk-exposed 0.3 --risk-unexposed 0.2 --exposure 0.4",
                 "exposure risk_exposed risk_unexposed",
-                "exposure_cases exposure_controls log_odds min_variance_exposure "
-                "odds_ratio prevalence risk_ratio sigma sigma_at_min standardized_effect",
+                "exposure_cases exposure_controls exposure_used log_odds "
+                "max_standardized_effect min_variance_exposure odds_ratio prevalence "
+                "risk_ratio sigma sigma_at_min standardized_effect",
             ),
             (
                 "constants",
@@ -628,9 +657,14 @@ class TestSpotValues:
 
 
 def _assert_fields(results, record, **names):
-    """`results` holds each field of `record`, under `names`' CLI name for it."""
+    """`results` holds each field of `record`, under `names`' CLI name for it;
+    a field that `names` maps to None is not printed."""
     for field, value in vars(record).items():
-        assert results[names.get(field, field)] == value, field
+        name = names.get(field, field)
+        if name is None:
+            assert field not in results, field
+        else:
+            assert results[name] == value, field
 
 
 class TestRecordResults:
@@ -666,8 +700,39 @@ class TestRecordResults:
         assert code == 0
         results = json.loads(out)["results"]
         risks = RiskParams(exposed, unexposed, 0.5 if exposure is None else exposure)
-        _assert_fields(results, summarize_risk(risks), standardized="standardized_effect")
+        summary = summarize_risk(risks)
+        _assert_fields(results, summary, standardized="standardized_effect")
         _assert_fields(results, risk_to_cohort(risks))
+        assert results["exposure_used"] == risks.exposure
+        assert results["max_standardized_effect"] == max_standardized_effect(
+            summary.odds_ratio
+        )
+
+    @pytest.mark.parametrize(
+        "p,q,prevalence",
+        [(0.3, 0.2, None), (0.667, 0.333, 0.5), (1e-12, 0.999, 0.3), (0.999999, 1e-9, None)],
+    )
+    def test_bounds_cohort_mode(self, capsys, p, q, prevalence):
+        argv = ["bounds", "--p", repr(p), "--q", repr(q)]
+        if prevalence is not None:
+            argv += ["--prevalence", repr(prevalence)]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        w_min = min_variance_prevalence(p, q)
+        w = w_min if prevalence is None else prevalence
+        summary = summarize_risk(RiskParams(p, q, w))
+        # The transposed triple's risk_ratio is p/q, a ratio of exposure
+        # probabilities, so it is not printed.
+        _assert_fields(
+            results, summary, standardized="standardized_effect", risk_ratio=None
+        )
+        _assert_fields(results, cohort_to_risk(CohortParams(p, q, w)))
+        assert results["prevalence_used"] == w
+        assert results["min_variance_prevalence"] == w_min
+        assert results["max_standardized_effect"] == max_standardized_effect(
+            summary.odds_ratio
+        )
 
 
 def _quiet_results(argv):
@@ -686,6 +751,16 @@ def _both_modes(p, q, w):
     return cohort, risk
 
 
+# Each --p/--q result key under its risk-mode name, where the two differ.
+_TRANSPOSED = {
+    "risk_exposed": "exposure_cases",
+    "risk_unexposed": "exposure_controls",
+    "exposure": "prevalence",
+    "min_variance_prevalence": "min_variance_exposure",
+    "prevalence_used": "exposure_used",
+}
+
+
 class TestTransposition:
     @given(p=PROBABILITIES, q=PROBABILITIES, w=PROBABILITIES)
     @example(p=0.667, q=0.9999999999999999, w=0.9999999999999999)
@@ -694,16 +769,17 @@ class TestTransposition:
     @example(p=3.4616494723716854e-157, q=4.798226947564728e-125, w=1.599317181028437e-122)
     def test_cohort_and_risk_modes_read_one_table(self, p, q, w):
         # The cohort triple (p, q, w) is the risk triple of the transposed
-        # table, whose cells are the design's: one odds ratio, one effect,
-        # and one variance factor, so one minimizer and its sigma.
-        cohort, risk = _both_modes(p, q, w)
-        if cohort[0] != 0 or risk[0] != 0:
+        # table, whose cells are the design's: one summary, one Bayes map,
+        # one minimizer and its sigma, so every key agrees bit for bit.
+        (cohort_code, cohort), (risk_code, risk) = _both_modes(p, q, w)
+        assert cohort_code == risk_code
+        if cohort_code != 0:
             return
-        for key in ("odds_ratio", "standardized_effect", "sigma_at_min"):
-            assert repr(cohort[1][key]) == repr(risk[1][key]), key
-        assert repr(cohort[1]["min_variance_prevalence"]) == repr(
-            risk[1]["min_variance_exposure"]
-        )
+        # Only risk mode prints risk_ratio: the transposed triple's is p/q.
+        renamed = [_TRANSPOSED.get(key, key) for key in cohort]
+        assert sorted(risk) == sorted([*renamed, "risk_ratio"])
+        for key, value in cohort.items():
+            assert repr(value) == repr(risk[_TRANSPOSED.get(key, key)]), key
 
     def test_risk_mode_answers_a_minimizer_one_step_below_one(self):
         # rr/sqrt(or) = 8.5e-17 here, so 1/(1 + rr/sqrt(or)) rounds to 1.0;
