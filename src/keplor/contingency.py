@@ -37,6 +37,10 @@ __all__ = [
 # Standardized effects cannot exceed the Laplace limit; checked post-hoc on
 # EffectSummary with one spare digit of slack.
 _STANDARDIZED_CAP = 0.6627434194
+# fdlibm's split of ln 2: _LN2_HI has 20 trailing zero bits, so shift * _LN2_HI
+# is exact for every shift a table's cross products can have.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 class TwoByTwoTable(_Record):
@@ -169,7 +173,8 @@ def estimate_proportions(table: TwoByTwoTable) -> Proportions:
     return Proportions(table.n11 / cases, table.n21 / controls, cases / total, total)
 
 
-def _corrected_cells(table: TwoByTwoTable, correction: bool) -> tuple[float, ...]:
+def _cells(table: TwoByTwoTable, correction: bool) -> tuple[int, ...]:
+    """The counts, or 2c + 1 under correction: the cells plus 1/2, doubled."""
     counts = table.cells()
     if not correction and 0 in counts:
         raise ZeroCell(
@@ -177,34 +182,27 @@ def _corrected_cells(table: TwoByTwoTable, correction: bool) -> tuple[float, ...
             "to every cell"
         )
     try:
-        cells = tuple(map(float, counts))
+        float(max(counts))
     except OverflowError:
         raise NonFinite("a count exceeds the double-precision range") from None
-    if correction:
-        return tuple(c + 0.5 for c in cells)
-    return cells
+    return tuple(2 * c + 1 for c in counts) if correction else counts
 
 
-def _cells_odds_ratio(cells: tuple[float, ...]) -> OddsRatioEstimate:
-    """(c11*c22)/(c12*c21) and its log, taken from the cells past the double range."""
+def _odds_ratio(cells: tuple[int, ...]) -> OddsRatioEstimate:
+    """(c11*c22)/(c12*c21) from the exact cross products, rounded once, and its log."""
     c11, c12, c21, c22 = cells
-    odds_ratio = (c11 * c22) / (c12 * c21)
-    if 0.0 < odds_ratio < math.inf:
+    top, bottom = c11 * c22, c12 * c21
+    try:
+        odds_ratio = top / bottom
+    except OverflowError:
+        odds_ratio = math.inf
+    if sys.float_info.min <= odds_ratio < math.inf:
         return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
-    first, second = c11 / c12, c22 / c21
-    if not all(sys.float_info.min <= x < math.inf for x in (first, second)):
-        # A quotient that is not a normal double has lost bits; the other
-        # pairing keeps them where both of its quotients are normal.
-        other = c11 / c21, c22 / c12
-        if all(sys.float_info.min <= x < math.inf for x in other):
-            first, second = other
-    odds_ratio = first * second
-    # Three roundings of normal doubles put ln OR within about 3 * 2**-53;
-    # the sum of the cells' logs below cancels terms of up to 709 each.
-    if all(sys.float_info.min <= x < math.inf for x in (first, second, odds_ratio)):
-        return OddsRatioEstimate(odds_ratio, math.log(odds_ratio))
-    log_odds = (math.log(c11) + math.log(c22)) - (math.log(c12) + math.log(c21))
-    return OddsRatioEstimate(odds_ratio, log_odds)
+    # A subnormal, zero or infinite odds ratio has lost bits; the exact quotient
+    # is q * 2**shift, and q in (1/2, 2) rounds once.
+    shift = top.bit_length() - bottom.bit_length()
+    q = (top << max(-shift, 0)) / (bottom << max(shift, 0))
+    return OddsRatioEstimate(odds_ratio, shift * _LN2_HI + (math.log(q) + shift * _LN2_LO))
 
 
 def estimate_odds_ratio(
@@ -213,14 +211,13 @@ def estimate_odds_ratio(
     """Cross-product odds ratio (n11*n22)/(n12*n21) and its natural log.
 
     With ``correction=True`` every cell gets 0.5 added first, which keeps the
-    estimate finite in the presence of empty cells.  Where a cross product
-    leaves the double range, the odds ratio is (n11/n12)*(n22/n21), or
-    (n11/n21)*(n22/n12) where only the second pair of quotients is normal,
-    rounded to 0.0, inf or a double; the log odds is its log while both
-    quotients and the odds ratio are normal doubles, else the sum of the
-    cells' logs.
+    estimate finite in the presence of empty cells.  The cross products are
+    exact integers, so the odds ratio is their quotient rounded once: 0.0, a
+    subnormal, a normal double or inf.  The log odds is the log of a normal
+    odds ratio, and otherwise ln q + shift * ln 2 of the exact quotient
+    q * 2**shift, q in (1/2, 2).
     """
-    return _cells_odds_ratio(_corrected_cells(table, correction))
+    return _odds_ratio(_cells(table, correction))
 
 
 def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
@@ -228,13 +225,14 @@ def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
 
     Algebraically identical to sqrt(N) * log_odds / sigma(case_fraction) with
     sigma evaluated at the observed proportions; asymptotically standard
-    normal under the null.  The reciprocals are added left to right, so every
+    normal under the null.  Each reciprocal is one integer quotient, 1/c, or
+    2/(2c + 1) under correction, and they are added left to right, so every
     Python version gives the same bits (``sum`` is compensated from 3.12).
     """
-    cells = _corrected_cells(table, correction)
+    cells = _cells(table, correction)
     c11, c12, c21, c22 = cells
-    log_odds = _cells_odds_ratio(cells).log_odds
-    return log_odds / math.sqrt(1.0 / c11 + 1.0 / c12 + 1.0 / c21 + 1.0 / c22)
+    k = 2 if correction else 1
+    return _odds_ratio(cells).log_odds / math.sqrt(k / c11 + k / c12 + k / c21 + k / c22)
 
 
 def _bayes_quotient(weight: float, share: float, mix: float) -> float:

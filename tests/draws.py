@@ -15,3 +15,14 @@ def _probability(mantissa, exponent, complement):
 PROBABILITIES = st.builds(
     _probability, st.integers(0, 2**52 - 1), st.integers(-1074, -1), st.booleans()
 )
+
+
+def _count(mantissa, exponent):
+    """floor((1 + mantissa/2**52) * 2**exponent): a count from 1 up to the
+    largest double, drawn by mantissa and exponent."""
+    return (((1 << 52) + mantissa) << exponent) >> 52
+
+
+COUNTS = st.builds(_count, st.integers(0, 2**52 - 1), st.integers(0, 1023))
+# A corrected table may have empty cells.
+CORRECTED_COUNTS = st.just(0) | COUNTS

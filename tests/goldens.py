@@ -9,6 +9,11 @@ import argparse
 GOLDENS = {
     "constants.json": ["constants"],
     "table.json": ["table", "--counts", "20,10,10,20"],
+    # Cross products past the double range: the odds ratio, about 2.5e-397,
+    # rounds to 0, and the log odds comes from the exact integer quotient.
+    "table-past-range.json": [
+        "table", "--counts", f"2,{10**200},{10**200},1000", "--correction",
+    ],
     "verify.json": ["verify", "--samples", "1000", "--seed", "7"],
     "verify-40000.json": ["verify", "--samples", "40000", "--seed", "7"],
     # The far tail of the normal quantile, as the standard library rounds it.

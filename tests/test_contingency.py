@@ -1,8 +1,11 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+
+from draws import CORRECTED_COUNTS, COUNTS
 
 from keplor.contingency import (
     CohortParams,
@@ -99,12 +102,24 @@ class TestEstimators:
         with pytest.raises(NonFinite, match="double-precision range"):
             t_statistic(table, correction)
 
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_largest_count_that_float_holds(self, correction):
+        # float() rounds counts below 2**1024 - 2**970 to the largest double,
+        # and from there it overflows: the first is answered, the second not.
+        # Under correction the odds ratio is (2c + 1)/3 rounded once.
+        table = TwoByTwoTable(2**1024 - 2**970 - 1, 1, 1, 1)
+        expected = (sys.float_info.max, 1.1984620899082105e308)[correction]
+        assert estimate_odds_ratio(table, correction).odds_ratio == expected
+        assert t_statistic(table, correction) > 0.0
+        with pytest.raises(NonFinite, match="double-precision range"):
+            estimate_odds_ratio(TwoByTwoTable(2**1024 - 2**970, 1, 1, 1), correction)
+
     def test_zero_cell_reported_before_huge_count(self):
         with pytest.raises(ZeroCell):
             estimate_odds_ratio(TwoByTwoTable(10**400, 0, 1, 1))
 
     def test_cross_product_underflow(self):
-        # The quotient 2e-397 rounds to 0, so the log comes from the cells.
+        # The quotient 2e-397 rounds to 0; the log comes from its scaled form.
         estimate = estimate_odds_ratio(TwoByTwoTable(2, 10**200, 10**200, 1000))
         assert estimate.odds_ratio == 0.0
         assert estimate.log_odds == pytest.approx(
@@ -114,13 +129,13 @@ class TestEstimators:
     @pytest.mark.parametrize(
         "counts,expected",
         [
-            # 50-digit values rounded once to double.  The log of the
-            # quotient is taken while it is a positive finite double.  It can
-            # only be subnormal near the top of that range (the denominator
-            # is at most the largest double), where it still holds 48 or more
-            # bits, so its log is correctly rounded; a sum of the cells' logs
-            # would be an ulp off on these.  Past the range a cross product
-            # overflowed and the quotient is 0, inf or nan (see below).
+            # 50-digit values rounded once to double.  A subnormal odds ratio
+            # holds fewer than 53 bits, so its log odds comes from the exact
+            # quotient q * 2**shift, q in (1/2, 2), not from the rounded odds
+            # ratio.  These three keep 48 or more bits, so the log of the odds
+            # ratio would round the same; the deep subnormal quotient 8.689e-320
+            # of the grid row (9.95e176, 9.21e299, 6.22e195, 0) with correction,
+            # in accuracy_grid.TABLE_ESTIMATES, has a direct log 1.27e8 * 2**-53 off.
             ((1, 10**154, 10**154, 1), -709.1962086421661),
             ((1, 31 * 10**152, 153 * 10**152, 1), -708.4502933960674),
             ((1, 45 * 10**152, 186 * 10**152, 1), -709.0182774336735),
@@ -137,9 +152,8 @@ class TestEstimators:
         [
             # 50-digit log odds and t statistics, for cells with and without
             # the 0.5 added (equal to 50 digits for the first and last
-            # tables).  Cross products overflow, so the quotient is nan, inf,
-            # 0 and inf in turn; the odds ratio is reported as
-            # (c11/c12)*(c22/c21), which is finite for the first and last.
+            # tables).  The cross products pass the double range as floats,
+            # not as integers: the quotient is 1, inf, 0 and 1e20 in turn.
             ((10**200,) * 4, 1.0, (0.0, 0.0), (0.0, 0.0)),
             (
                 (10**200, 1, 1, 10**200),
@@ -165,7 +179,6 @@ class TestEstimators:
                     -1442.1103737346892729598673458396800128314339269749,
                 ),
             ),
-            # The two sums of logs, 736.8 and 690.8, cancel to 46.05.
             (
                 (10**160, 10**150, 10**150, 10**160),
                 1e20,
@@ -180,6 +193,17 @@ class TestEstimators:
         assert estimate.odds_ratio == pytest.approx(odds_ratio, rel=1e-15, abs=0)
         assert estimate.log_odds == pytest.approx(log_odds[correction], rel=1e-15, abs=0)
         assert t_statistic(table, correction) == pytest.approx(t[correction], rel=1e-15, abs=0)
+
+    @given(st.data(), st.booleans())
+    def test_odds_ratio_is_the_exact_quotient_rounded_once(self, data, correction):
+        counts = data.draw(st.tuples(*[CORRECTED_COUNTS if correction else COUNTS] * 4))
+        assume(counts[0] + counts[1] and counts[2] + counts[3])
+        c11, c12, c21, c22 = [2 * n + 1 if correction else n for n in counts]
+        try:
+            expected = float(Fraction(c11 * c22, c12 * c21))
+        except OverflowError:
+            expected = math.inf
+        assert estimate_odds_ratio(TwoByTwoTable(*counts), correction).odds_ratio == expected
 
     def test_corrected_odds_ratio(self):
         estimate = estimate_odds_ratio(TwoByTwoTable(10, 0, 5, 5), correction=True)
