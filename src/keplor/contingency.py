@@ -235,15 +235,15 @@ def t_statistic(table: TwoByTwoTable, correction: bool = False) -> float:
     return _odds_ratio(cells).log_odds / math.sqrt(k / c11 + k / c12 + k / c21 + k / c22)
 
 
-def _bayes_quotient(weight: float, share: float, mix: float) -> float:
-    """weight*share/mix, with all three scaled so that the mix is in [2**53, 2**54).
-
-    The product then keeps its bits wherever the quotient is at least 2**-1075.
-    """
-    scale = 54 - math.frexp(mix)[1]
-    half = scale // 2  # split between two factors of at most 1: neither overflows
-    product = math.ldexp(weight, half) * math.ldexp(share, scale - half)
-    return product / math.ldexp(mix, scale)
+def _share(x: float, y: float, u: float, v: float) -> float:
+    """x*y/(x*y + u*v), each product a frexp mantissa product scaled by one power
+    of two that puts the larger in [2**53, 2**55), then one sum and one quotient."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    (mu, eu), (mv, ev) = math.frexp(u), math.frexp(v)
+    exy, euv = ex + ey, eu + ev
+    scale = 55 - (exy if exy > euv else euv)
+    top = math.ldexp(mx * my, exy + scale)
+    return top / (top + math.ldexp(mu * mv, euv + scale))
 
 
 def cohort_to_risk(cohort: CohortParams) -> RiskParams:
@@ -253,8 +253,8 @@ def cohort_to_risk(cohort: CohortParams) -> RiskParams:
     w = cohort.prevalence
     exposure = w * p + (1.0 - w) * q
     _check_derived("exposure", exposure)
-    risk_exposed = _bayes_quotient(w, p, exposure)
-    risk_unexposed = _bayes_quotient(w, 1.0 - p, 1.0 - exposure)
+    risk_exposed = _share(w, p, 1.0 - w, q)
+    risk_unexposed = _share(w, 1.0 - p, 1.0 - w, 1.0 - q)
     _check_derived("risk_exposed", risk_exposed)
     _check_derived("risk_unexposed", risk_unexposed)
     return RiskParams(risk_exposed, risk_unexposed, exposure)
@@ -267,8 +267,8 @@ def risk_to_cohort(risk: RiskParams) -> CohortParams:
     v = risk.exposure
     prevalence = v * re_ + (1.0 - v) * ru
     _check_derived("prevalence", prevalence)
-    exposure_cases = _bayes_quotient(v, re_, prevalence)
-    exposure_controls = _bayes_quotient(v, 1.0 - re_, 1.0 - prevalence)
+    exposure_cases = _share(v, re_, 1.0 - v, ru)
+    exposure_controls = _share(v, 1.0 - re_, 1.0 - v, 1.0 - ru)
     _check_derived("exposure_cases", exposure_cases)
     _check_derived("exposure_controls", exposure_controls)
     return CohortParams(exposure_cases, exposure_controls, prevalence)

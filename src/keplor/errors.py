@@ -113,8 +113,8 @@ def _check_probability(name: str, value: float) -> None:
 
 
 def _check_derived(name: str, value: float, upper: float = 1.0) -> None:
-    # A mix of two tiny probabilities can underflow to 0 before it is divided
-    # by, and a ratio or spread of tiny risks can overflow (upper = inf).
+    # A mix of two tiny probabilities can underflow to 0, a share can round to
+    # 0 or 1, and a ratio or spread of tiny risks can overflow (upper = inf).
     if not 0.0 < value < upper:
         raise InconsistentParams(f"derived {name} {value!r} falls outside (0, {upper:g})")
 

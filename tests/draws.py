@@ -12,9 +12,15 @@ def _probability(mantissa, exponent, complement):
     return 1.0 - x if complement else x
 
 
-PROBABILITIES = st.builds(
-    _probability, st.integers(0, 2**52 - 1), st.integers(-1074, -1), st.booleans()
+MANTISSAS = st.integers(0, 2**52 - 1)
+PROBABILITIES = st.builds(_probability, MANTISSAS, st.integers(-1074, -1), st.booleans())
+# Strictly inside (0, 1): a complement 1 - x is taken only of x >= 2**-53, so
+# it is at most 1 - 2**-53, never 1.0.
+OPEN_PROBABILITIES = st.one_of(
+    st.builds(_probability, MANTISSAS, st.integers(-1074, -1), st.just(False)),
+    st.builds(_probability, MANTISSAS, st.integers(-53, -1), st.just(True)),
 )
+PROBABILITY_TRIPLES = st.tuples(OPEN_PROBABILITIES, OPEN_PROBABILITIES, OPEN_PROBABILITIES)
 
 
 def _count(mantissa, exponent):

@@ -19,11 +19,10 @@ GOLDENS = {
     # The far tail of the normal quantile, as the standard library rounds it.
     "pz.json": ["pz", "--p", "5e-324"],
     "bounds.json": ["bounds", "--p", "0.667", "--q", "0.333", "--prevalence", "0.5"],
-    # Derived risks that round to 1 - 2**-53 and 1 - 2**-52: the effect comes
-    # from the inputs, and keeps its sign.
+    # Derived risks near 1: risk_unexposed, 1 - 3.0e-16, rounds to
+    # 1 - 3 * 2**-53.  The effect comes from the inputs, and keeps its sign.
     "bounds-near-one.json": [
-        "bounds", "--p", "0.667", "--q", "0.9999999999999999",
-        "--prevalence", "0.9999999999999999",
+        "bounds", "--p", "0.667", "--q", "0.99999999", "--prevalence", "0.99999999",
     ],
     # A subnormal variance product whose sigma, 2.18e154, is a double: the
     # risk mode reads the variance factor scaled, as the --p/--q mode does.

@@ -461,6 +461,15 @@ class TestDomainErrors:
             (["bounds", "--p", "0.5", "--q", "5e-324"], "derived risk_exposed 1.0 falls outside (0, 1)"),
             # Here the minimizer itself, 1 - 4.4e-162, rounds to 1.0.
             (["bounds", "--p", "5e-324", "--q", "0.5"], "derived prevalence 1.0 falls outside (0, 1)"),
+            # risk_unexposed is 1 - 3.7e-32 for these input doubles, which
+            # rounds to 1.0.
+            (
+                [
+                    "bounds", "--p", "0.667", "--q", "0.9999999999999999",
+                    "--prevalence", "0.9999999999999999",
+                ],
+                "derived risk_unexposed 1.0 falls outside (0, 1)",
+            ),
             # The optimal risks 1 - 1e-20 round to 1.0, on either side.
             (["bounds", "--or", "1e40"], "derived risk_exposed 1.0 falls outside (0, 1)"),
             (["bounds", "--or", "1e-40"], "derived risk_unexposed 1.0 falls outside (0, 1)"),

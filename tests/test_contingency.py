@@ -1,11 +1,13 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from draws import CORRECTED_COUNTS, COUNTS
+import exact
+from draws import CORRECTED_COUNTS, COUNTS, PROBABILITY_TRIPLES
 
 from keplor.contingency import (
     CohortParams,
@@ -346,7 +348,7 @@ class TestConversions:
         [
             # exposure_cases = 1 / (1 + 1e-100) rounds to 1.0.
             (RiskParams(1e-200, 1e-300, 0.5), "derived exposure_cases 1.0 "),
-            # 1 - prevalence = 1 - 0.7 * 2**-53 rounds to the numerator 1 - 2**-53.
+            # exposure_controls = 1/(1 + 0.3 * 2**-53/(1 - 2**-53)) rounds to 1.0.
             (RiskParams(1e-300, 0.7, 0.9999999999999999), "derived exposure_controls 1.0 "),
         ],
     )
@@ -354,6 +356,40 @@ class TestConversions:
         with pytest.raises(InconsistentParams) as excinfo:
             risk_to_cohort(risk)
         assert str(excinfo.value) == message + "falls outside (0, 1)"
+
+    # Each rounding is at most 2**-53 relative, and a product below 2**-1022
+    # is also off by up to half a step of 2**-1074.  The mix's terms round once
+    # (w*a) and twice (1 - w, then *b), and their positive sum once: 3.  A
+    # share x*y/(x*y + u*v) whose products are off by e1 and e2 is off by
+    # (1 - share)*(e1 - e2), plus the sum's rounding and the quotient's: its
+    # products round 1 and 2 times in the first share (w*a; 1 - w and its
+    # product), 2 and 3 in the second (1 - a and its product; 1 - w, 1 - b and
+    # theirs).  The scaled products are normal wherever the share is above
+    # 2**-1075.
+    BAYES_MAP_ROUNDINGS = (5, 7, 3)
+
+    @pytest.mark.parametrize(
+        "bayes_map,inputs,outputs",
+        [(cohort_to_risk, CohortParams, RiskParams), (risk_to_cohort, RiskParams, CohortParams)],
+    )
+    @given(triple=PROBABILITY_TRIPLES)
+    @example(triple=(5e-324, 1e-323, 0.3))
+    @example(triple=(0.4, 0.99999999999999, 0.001))
+    @example(triple=(3.392012137145698e-164, 0.9999999999999999, 6.460633738966007e-16))
+    @example(triple=(0.667, 0.9999999999999999, 0.9999999999999999))
+    def test_bayes_map_against_exact_values(self, bayes_map, inputs, outputs, triple):
+        # A refused output is the double it rounded to, 0.0 or 1.0, and must
+        # be as close to its exact value as an answered one.
+        names = outputs.__match_args__
+        references = dict(zip(names, exact.bayes_map(*triple)))
+        roundings = dict(zip(names, self.BAYES_MAP_ROUNDINGS))
+        try:
+            got = bayes_map(inputs(*triple)).__dict__
+        except InconsistentParams as error:
+            refused = re.fullmatch(r"derived (\w+) (\S+) falls outside \(0, 1\)", str(error))
+            got = {refused[1]: float(refused[2])}
+        for name, value in got.items():
+            assert exact.within(value, references[name], roundings[name]), name
 
     @given(probs, probs, probs)
     @example(0.625, 0.03125, 0.9989999999999999)
